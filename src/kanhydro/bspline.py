@@ -70,53 +70,43 @@ def make_grid(domain_min: float, domain_max: float, num_intervals: int,
                     int(num_intervals), int(order), knots)
 
 
-def _degree_zero(grid: KnotGrid, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator bases over all knot intervals, clamped at the ends.
+def _cox_de_boor(grid: KnotGrid, xs, want_deriv: bool):
+    """All order-k bases at each x, and their first derivatives if asked.
 
-    Clamping the interval index makes the recursion extrapolate the first or
-    last polynomial piece for x beyond the knot span instead of returning 0.
+    The degree-0 indicators clamp the interval index, so the recursion
+    extrapolates the first or last polynomial piece for x beyond the knot
+    span instead of returning 0. The derivatives come from the degree k-1
+    bases of the last step.
     """
+    x = np.atleast_1d(np.asarray(xs, dtype=float))
     t = grid.knots
     m = len(t) - 1
     j = np.clip(np.searchsorted(t, x, side="right") - 1, 0, m - 1)
     basis = np.zeros((x.size, m))
     basis[np.arange(x.size), j] = 1.0
-    return basis, t
+    for k in range(1, grid.order + 1):
+        lower = basis
+        left = (x[:, None] - t[None, :m - k]) / (t[k:m] - t[:m - k])
+        right = (t[k + 1:m + 1] - x[:, None]) / (t[k + 1:m + 1] - t[1:m - k + 1])
+        basis = left * lower[:, :m - k] + right * lower[:, 1:m - k + 1]
+    if not want_deriv:
+        return basis, None
+    k = grid.order
+    if k == 0:
+        return basis, np.zeros_like(basis)
+    dcoef_l = k / (t[k:m] - t[:m - k])
+    dcoef_r = k / (t[k + 1:m + 1] - t[1:m - k + 1])
+    return basis, dcoef_l * lower[:, :m - k] - dcoef_r * lower[:, 1:m - k + 1]
 
 
 def basis_matrix(grid: KnotGrid, xs) -> np.ndarray:
     """Evaluate all basis functions at each x. Returns (n, G + k)."""
-    x = np.atleast_1d(np.asarray(xs, dtype=float))
-    basis, t = _degree_zero(grid, x)
-    m = len(t) - 1
-    for k in range(1, grid.order + 1):
-        left = (x[:, None] - t[None, :m - k]) / (t[k:m] - t[:m - k])
-        right = (t[k + 1:m + 1] - x[:, None]) / (t[k + 1:m + 1] - t[1:m - k + 1])
-        basis = left * basis[:, :m - k] + right * basis[:, 1:m - k + 1]
-    return basis
+    return _cox_de_boor(grid, xs, want_deriv=False)[0]
 
 
 def basis_and_deriv_matrix(grid: KnotGrid, xs) -> tuple[np.ndarray, np.ndarray]:
     """Basis values and first derivatives, both (n, G + k)."""
-    x = np.atleast_1d(np.asarray(xs, dtype=float))
-    basis, t = _degree_zero(grid, x)
-    m = len(t) - 1
-    k_max = grid.order
-    if k_max == 0:
-        return basis, np.zeros_like(basis)
-    for k in range(1, k_max):
-        left = (x[:, None] - t[None, :m - k]) / (t[k:m] - t[:m - k])
-        right = (t[k + 1:m + 1] - x[:, None]) / (t[k + 1:m + 1] - t[1:m - k + 1])
-        basis = left * basis[:, :m - k] + right * basis[:, 1:m - k + 1]
-    k = k_max
-    lower = basis  # degree k-1 bases, m - k + 1 of them
-    left = (x[:, None] - t[None, :m - k]) / (t[k:m] - t[:m - k])
-    right = (t[k + 1:m + 1] - x[:, None]) / (t[k + 1:m + 1] - t[1:m - k + 1])
-    full = left * lower[:, :m - k] + right * lower[:, 1:m - k + 1]
-    dcoef_l = k / (t[k:m] - t[:m - k])
-    dcoef_r = k / (t[k + 1:m + 1] - t[1:m - k + 1])
-    deriv = dcoef_l * lower[:, :m - k] - dcoef_r * lower[:, 1:m - k + 1]
-    return full, deriv
+    return _cox_de_boor(grid, xs, want_deriv=True)
 
 
 def basis_eval(grid: KnotGrid, x: float) -> np.ndarray:

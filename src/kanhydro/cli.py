@@ -95,7 +95,8 @@ def _cmd_evaluate(args) -> int:
     result = {"model": args.model, "target": target, "n": len(ds),
               "metrics": metrics.all_metrics(obs, pred)}
     if args.repeats:
-        # refit-and-score over repeated random splits (fixed formulas only)
+        # the model is not refit: the same predictions are scored on the
+        # test rows of repeated random 80/20 splits
         stats = []
         for rep in range(args.repeats):
             tr, te = harness.split_indices(len(ds), 0.8, rep)

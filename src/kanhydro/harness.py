@@ -350,11 +350,11 @@ def emit_plot_data(models, ds, phi_spec, out_path) -> str:
             named.append((m.family, m))
         else:
             named.append(m)
+    curves = [np.asarray(fn(phis), dtype=float) for _, fn in named]
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["phi"] + [name for name, _ in named]) + "\n")
-        for p in phis:
-            row = [f"{p:.10g}"] + [f"{float(fn(p)):.10g}" for _, fn in named]
-            fh.write(",".join(row) + "\n")
+        for row in zip(phis, *curves):
+            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
     scatter_path = str(out_path) + ".scatter.csv"
     with open(scatter_path, "w", encoding="utf-8") as fh:
         fh.write("phi,qb_over_p,qd_over_p,qb,qd\n")

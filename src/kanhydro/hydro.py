@@ -319,10 +319,14 @@ def load_catchments(path, strict: bool = True) -> CatchmentDataset:
                 f"{name}:{line_no}: duplicate gauge_id {gauge!r} "
                 f"(first at line {seen[gauge]})")
         seen[gauge] = line_no
-        if p <= 0 or pet < 0 or qb < 0 or qd < 0:
+        # written positively so that NaN, which fails every comparison, is
+        # rejected along with inf
+        if not (0 < p < np.inf and 0 <= pet < np.inf and 0 <= qb < np.inf
+                and 0 <= qd < np.inf):
             raise DataValidationError(
                 f"{name}:{line_no}: gauge {gauge!r} violates invariants "
-                f"(p > 0, pet/qb/qd >= 0); got p={p}, pet={pet}, qb={qb}, qd={qd}")
+                f"(p > 0, pet/qb/qd >= 0, all finite); got p={p}, pet={pet}, "
+                f"qb={qb}, qd={qd}")
         rec = CatchmentRecord(gauge, p, pet, qb, qd)
         der = _derive(rec)
         if qb + qd > p:

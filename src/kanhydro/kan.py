@@ -1,8 +1,11 @@
 """KAN networks: spline-edge activations, training losses and gradients,
 pruning, symbolic locking, and closed-form extraction.
 
-Each edge evaluates ``w_b * silu(x) + w_c * sum_i c_i B_i(x)`` until it is
-locked to a symbolic candidate, after which it evaluates ``c*f(a*x + b) + d``.
+Each edge evaluates ``w_b * silu(x) + w_c * sum_i c_i B_i(x)`` (the edge form
+of Liu et al. 2024, "KAN: Kolmogorov-Arnold Networks", arXiv:2404.19756) until
+it is locked to a symbolic candidate, after which it evaluates
+``c*f(a*x + b) + d``. One loop, ``_forward``, evaluates every edge; training,
+grid adaptation, importances and snapping all go through it.
 The trainable-parameter flattening order is layer-major, then (out_idx,
 in_idx), then ``[w_b, w_c, c_0, ...]`` for spline edges or ``[a, b, c, d]``
 for locked ones.
@@ -269,22 +272,44 @@ def activation_eval(edge: EdgeActivation, x: float) -> float:
     return float(out[0])
 
 
+def _fit_grid(edge: EdgeActivation, x: np.ndarray) -> None:
+    """Rescale an unlocked edge's grid to its inputs x with a 10% margin,
+    refitting the coefficients so the spline keeps its shape."""
+    lo, hi = float(x.min()), float(x.max())
+    span = hi - lo
+    if span < 1e-9:
+        span = 1.0
+    lo -= GRID_MARGIN * span
+    hi += GRID_MARGIN * span
+    new_grid = bspline.make_grid(lo, hi, edge.grid.num_intervals,
+                                 edge.grid.order)
+    dense = np.linspace(lo, hi, max(200, 20 * new_grid.num_basis))
+    vals = bspline.spline_eval(edge.grid, edge.coeffs, dense)
+    edge.grid = new_grid
+    edge.coeffs = bspline.fit_coeffs_least_squares(new_grid, dense, vals)
+
+
 def _forward(net: KanNetwork, xs: np.ndarray, want_cache: bool,
-             layer0=None):
+             layer0=None, fit_grids: bool = False):
+    """Layer activations, per-edge outputs (flattening order) and, with
+    want_cache, the backward caches. With fit_grids, each unlocked edge's
+    grid is first fitted to the inputs it sees (see adapt_grids)."""
     n = xs.shape[0]
     if xs.shape[1] != net.shape[0]:
         raise DimMismatchError(
             f"input dim {xs.shape[1]} != shape[0] = {net.shape[0]}")
     acts = [xs]
-    edge_outs = []  # per-edge batch outputs, flattening order
+    edge_outs = []
     caches = []
     for l, layer in enumerate(net.layers):
         out = np.zeros((n, layer.out_dim))
         for j in range(layer.out_dim):
             for i in range(layer.in_dim):
+                edge, x = layer.edges[j][i], acts[-1][:, i]
+                if fit_grids and edge.lock is None:
+                    _fit_grid(edge, x)
                 pre = layer0[j][i] if l == 0 and layer0 else None
-                o, cache = _edge_eval(layer.edges[j][i], acts[-1][:, i],
-                                      want_cache, pre)
+                o, cache = _edge_eval(edge, x, want_cache, pre)
                 out[:, j] += o
                 edge_outs.append(o)
                 caches.append(cache)
@@ -305,10 +330,14 @@ def forward_batch(net: KanNetwork, xs) -> np.ndarray:
     return acts[-1]
 
 
-def _check_batch(net, xs, ys):
+def _as_batch(xs) -> np.ndarray:
+    """xs as a float (n, in_dim) array; a 1-D xs is one input column."""
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
+    return xs.reshape(-1, 1) if xs.ndim == 1 else xs
+
+
+def _check_batch(net, xs, ys):
+    xs = _as_batch(xs)
     ys = np.asarray(ys, dtype=float)
     if xs.shape[0] != ys.shape[0] or ys.ndim != 1 or xs.shape[0] < 1:
         raise DimMismatchError("xs rows and ys length must match and be >= 1")
@@ -318,37 +347,35 @@ def _check_batch(net, xs, ys):
 
 
 def batch_rmse_loss(net: KanNetwork, xs, ys) -> float:
-    xs, ys = _check_batch(net, xs, ys)
-    out = forward_batch(net, xs)[:, 0]
-    # overflow to inf is fine; line searches treat non-finite loss as a wall
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.mean((out - ys) ** 2)))
-
-
-def _penalty_terms(edge_outs, net):
-    """Per-edge mean |output|, their sum, and the magnitude entropy."""
-    mags = np.array([float(np.mean(np.abs(o))) for o in edge_outs])
-    total = float(mags.sum())
-    if total <= 0.0:
-        return mags, 0.0, 0.0
-    p = mags / total
-    nz = p > 0.0
-    entropy = float(-np.sum(p[nz] * np.log(p[nz])))
-    return mags, total, entropy
+    """RMSE of the single output head; inf where it overflows."""
+    return loss_and_gradient(net, xs, ys, 0.0)[0]
 
 
 def regularized_loss(net: KanNetwork, xs, ys, lam: float) -> float:
     """RMSE + lambda * (sum of edge L1 magnitudes + magnitude entropy)."""
-    if lam < 0:
-        raise InvalidArgumentError("lambda must be >= 0")
-    xs, ys = _check_batch(net, xs, ys)
-    if lam == 0.0:
-        return batch_rmse_loss(net, xs, ys)
-    acts, edge_outs, _ = _forward(net, xs, want_cache=False)
-    out = acts[-1][:, 0]
-    rmse = float(np.sqrt(np.mean((out - ys) ** 2)))
-    _, l1, entropy = _penalty_terms(edge_outs, net)
-    return rmse + lam * (l1 + entropy)
+    return loss_and_gradient(net, xs, ys, lam)[0]
+
+
+def _magnitudes(edge_outs) -> np.ndarray:
+    """Per-edge mean |output| over the batch."""
+    return np.array([float(np.mean(np.abs(o))) for o in edge_outs])
+
+
+def _penalty(edge_outs):
+    """The sparsity penalty, the sum of the edge magnitudes plus their
+    entropy, and its derivative with respect to each magnitude."""
+    mags = _magnitudes(edge_outs)
+    total = float(mags.sum())
+    weights = np.zeros_like(mags)
+    if total <= 0.0:
+        return 0.0, weights
+    p = mags / total
+    nz = p > 0.0
+    log_p = np.log(p[nz])
+    entropy = float(-np.sum(p[nz] * log_p))
+    s = float(np.sum(np.where(nz, p * np.log(np.maximum(p, 1e-300)), 0.0)))
+    weights[nz] = 1.0 + (-log_p + s) / total
+    return total + entropy, weights
 
 
 def loss_and_gradient(net: KanNetwork, xs, ys, lam: float, *, _layer0=None):
@@ -367,8 +394,8 @@ def loss_and_gradient(net: KanNetwork, xs, ys, lam: float, *, _layer0=None):
                                        layer0=_layer0)
     out = acts[-1][:, 0]
     resid = out - ys
-    # overflow to inf is fine, as in batch_rmse_loss: line searches treat a
-    # non-finite loss as a wall and never ask for the gradient there
+    # overflow to inf is fine: line searches treat a non-finite loss as a
+    # wall and never ask for the gradient there
     with np.errstate(over="ignore"):
         mse = float(np.mean(resid ** 2))
     rmse = float(np.sqrt(mse))
@@ -378,18 +405,8 @@ def loss_and_gradient(net: KanNetwork, xs, ys, lam: float, *, _layer0=None):
     loss = rmse
     edge_weights = None
     if lam > 0.0:
-        mags, l1, entropy = _penalty_terms(edge_outs, net)
-        loss += lam * (l1 + entropy)
-        total = mags.sum()
-        edge_weights = np.zeros_like(mags)
-        if total > 0.0:
-            p = mags / total
-            s = float(np.sum(np.where(p > 0.0, p * np.log(np.maximum(p, 1e-300)), 0.0)))
-            for k, pk in enumerate(p):
-                if pk > 0.0:
-                    edge_weights[k] = 1.0 + (-np.log(pk) + s) / total
-                else:
-                    edge_weights[k] = 0.0
+        penalty, edge_weights = _penalty(edge_outs)
+        loss += lam * penalty
 
     # upstream gradient on the output node
     if rmse > 0.0:
@@ -448,35 +465,8 @@ def adapt_grids(net: KanNetwork, xs) -> KanNetwork:
     with already-rescaled grids. Coefficients are refit so the spline keeps
     its current shape over the new domain.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
     net = net.clone()
-    acts = xs
-    for layer in net.layers:
-        out = np.zeros((xs.shape[0], layer.out_dim))
-        for j in range(layer.out_dim):
-            for i in range(layer.in_dim):
-                edge = layer.edges[j][i]
-                x = acts[:, i]
-                if edge.lock is None:
-                    lo, hi = float(x.min()), float(x.max())
-                    span = hi - lo
-                    if span < 1e-9:
-                        span = 1.0
-                    lo -= GRID_MARGIN * span
-                    hi += GRID_MARGIN * span
-                    new_grid = bspline.make_grid(lo, hi,
-                                                 edge.grid.num_intervals,
-                                                 edge.grid.order)
-                    dense = np.linspace(lo, hi, max(200, 20 * new_grid.num_basis))
-                    vals = bspline.spline_eval(edge.grid, edge.coeffs, dense)
-                    edge.grid = new_grid
-                    edge.coeffs = bspline.fit_coeffs_least_squares(
-                        new_grid, dense, vals)
-                o, _ = _edge_eval(edge, x, want_grad=False)
-                out[:, j] += o
-        acts = out
+    _forward(net, _as_batch(xs), want_cache=False, fit_grids=True)
     return net
 
 
@@ -498,11 +488,8 @@ def train(net: KanNetwork, xs, ys, lam: float,
 
 def edge_importances(net: KanNetwork, xs) -> np.ndarray:
     """Mean |activation output| per edge over the batch, flattening order."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
-    _, edge_outs, _ = _forward(net, xs, want_cache=False)
-    return np.array([float(np.mean(np.abs(o))) for o in edge_outs])
+    _, edge_outs, _ = _forward(net, _as_batch(xs), want_cache=False)
+    return _magnitudes(edge_outs)
 
 
 def prune(net: KanNetwork, threshold: float, xs) -> KanNetwork:
@@ -543,17 +530,14 @@ def snap_edge(net: KanNetwork, layer: int, out_idx: int, in_idx: int,
     Returns (new network, SnapResult). The fit uses the edge's empirical
     (input, output) pairs under forward passes of xs.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
-    edge = net.layers[layer].edges[out_idx][in_idx]
-    if edge.lock is not None:
+    if net.layers[layer].edges[out_idx][in_idx].lock is not None:
         raise InvalidArgumentError(
             f"edge ({layer},{out_idx},{in_idx}) is already locked")
-    acts, _, _ = _forward(net, xs, want_cache=False)
-    x_edge = acts[layer][:, in_idx]
-    y_edge, _ = _edge_eval(edge, x_edge, want_grad=False)
-    result = rank_candidates(x_edge, y_edge, library, search)
+    acts, edge_outs, _ = _forward(net, _as_batch(xs), want_cache=False)
+    flat = (sum(lay.out_dim * lay.in_dim for lay in net.layers[:layer])
+            + out_idx * net.layers[layer].in_dim + in_idx)
+    result = rank_candidates(acts[layer][:, in_idx], edge_outs[flat],
+                             library, search)
     name, a, b, c, d, _ = result.best
     net = net.clone()
     net.layers[layer].edges[out_idx][in_idx].lock = SymbolicLock(

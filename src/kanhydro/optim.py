@@ -226,7 +226,6 @@ class AffineSearchGrid:
         default_factory=lambda: np.geomspace(0.1, 10.0, 41))
     b_values: np.ndarray = field(
         default_factory=lambda: np.linspace(-10.0, 10.0, 41))
-    both_signs: bool = True
     max_samples: int | None = None  # subsample the coarse pass, not the polish
     polish: "OptimOptions | None" = None  # overrides the default polish options
 
@@ -267,8 +266,7 @@ class CoarseGrid:
             idx = np.linspace(0, xs.size - 1, grid.max_samples).astype(int)
             xs, ys = xs[idx], ys[idx]
         a_vals = np.asarray(grid.a_magnitudes, dtype=float)
-        if grid.both_signs:
-            a_vals = np.concatenate([a_vals, -a_vals])
+        a_vals = np.concatenate([a_vals, -a_vals])
         b_vals = np.asarray(grid.b_values, dtype=float)
         u = a_vals[:, None, None] * xs[None, None, :] + b_vals[None, :, None]
         yc = ys - ys.mean()
@@ -290,6 +288,9 @@ def _solve_cd(z, ys):
     return c, d, float(r @ r)
 
 
+# f and the sums overflow at grid points far from the data (exp, cosh, large
+# targets); those points come out non-finite and are skipped
+@np.errstate(all="ignore")
 def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain=None):
     """The coarse pass of fit_affine_wrap.
 
@@ -303,8 +304,7 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain=None):
     feas = domain(u).all(axis=2)
     if not feas.any():
         raise NoValidCandidateError("no feasible (a, b) grid point")
-    with np.errstate(all="ignore"):
-        z = f(u)
+    z = f(u)
     is_finite = np.isfinite(z)
     finite = is_finite.all(axis=2)
     feas &= finite
@@ -325,6 +325,10 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain=None):
     safe = szz > 1e-24 * scale + 1e-300
     c = np.where(safe, szy / np.where(safe, szz, 1.0), 0.0)
     sse = np.maximum(coarse.syy - c * szy, 0.0)
+    # an overflowed sum leaves a NaN, which np.argmin would pick
+    feas &= np.isfinite(sse)
+    if not feas.any():
+        raise NoValidCandidateError("no feasible grid point gives a finite fit")
     sse = np.where(feas, sse, np.inf)
     a_vals, b_vals = coarse.a_vals, coarse.b_vals
     best_flat = int(np.argmin(sse))
@@ -357,8 +361,7 @@ def fit_r2(sse: float, ys) -> float:
 
 
 def fit_affine_wrap(f, xs, ys, ab_grid: AffineSearchGrid | None = None, *,
-                    domain=None, deriv=None,
-                    opts: OptimOptions | None = None, start=None):
+                    domain=None, deriv=None, start=None):
     """Fit y = c*f(a*x + b) + d; returns (a, b, c, d, r2).
 
     A coarse (a, b) grid with closed-form (c, d) seeds a joint BFGS polish of
@@ -418,7 +421,7 @@ def fit_affine_wrap(f, xs, ys, ab_grid: AffineSearchGrid | None = None, *,
         best_sse = objective(p0) * n
         try:
             res = bfgs_minimize(objective, grad, p0,
-                                opts or grid.polish
+                                grid.polish
                                 or OptimOptions(max_iters=100, grad_tol=1e-10))
             if np.isfinite(res.f_star) and res.f_star * n <= best_sse:
                 a, b, cc, dd = res.x_star

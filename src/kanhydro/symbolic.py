@@ -135,29 +135,20 @@ _LIBRARY = [
     CandidateFunction("cosh", np.cosh, np.sinh, _all, 4),
 ]
 
-_EXTRA_CANDIDATES: list[CandidateFunction] = []
-
 # Even primitives: f(-u) = f(u), used to normalize the sign of affine wraps.
 EVEN_CANDIDATES = {"x^2", "x^4", "1/x^2", "1/x^4", "abs", "gaussian", "cosh"}
 
 
 def candidate_library() -> list[CandidateFunction]:
-    """The built-in primitives plus any registered self-defined ones."""
-    return list(_LIBRARY) + list(_EXTRA_CANDIDATES)
+    """The built-in primitives."""
+    return list(_LIBRARY)
 
 
 def candidate_by_name(name: str) -> CandidateFunction:
-    for cand in candidate_library():
+    for cand in _LIBRARY:
         if cand.name == name:
             return cand
     raise InvalidArgumentError(f"unknown candidate function {name!r}")
-
-
-def register_candidate(cand: CandidateFunction) -> None:
-    """Registration hook for self-defined primitives."""
-    if any(c.name == cand.name for c in candidate_library()):
-        raise InvalidArgumentError(f"candidate {cand.name!r} already registered")
-    _EXTRA_CANDIDATES.append(cand)
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kanhydro import bspline
 from kanhydro.errors import (
@@ -60,6 +62,22 @@ class TestBasisEval:
                 grid = bspline.make_grid(-1.0, 1.0, g, k)
                 sums = bspline.basis_matrix(grid, xs).sum(axis=1)
                 assert np.max(np.abs(sums - 1.0)) < 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(order=st.integers(0, 3), intervals=st.integers(1, 20),
+           lo=st.floats(-100.0, 100.0), width=st.floats(1e-3, 100.0),
+           ts=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=40))
+    def test_values_and_derivatives_share_one_recursion(self, order, intervals,
+                                                        lo, width, ts):
+        # x = lo + t * width: t in [0, 1] is inside the domain, the rest of
+        # [-2, 3] lies on the extension knots or beyond them
+        grid = bspline.make_grid(lo, lo + width, intervals, order)
+        xs = lo + np.array(ts) * width
+        basis, _ = bspline.basis_and_deriv_matrix(grid, xs)
+        assert basis.tobytes() == bspline.basis_matrix(grid, xs).tobytes()
+        inside = (xs >= grid.domain_min) & (xs <= grid.domain_max)
+        assert np.max(np.abs(basis[inside].sum(axis=1) - 1.0),
+                      initial=0.0) < 1e-9
 
     def test_degree_zero_indicator(self):
         grid = bspline.make_grid(0.0, 4.0, 4, 0)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kanhydro import cli
+from kanhydro import cli, kan, symbolic
 
 GOOD_CSV = """gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr
 g01,1000,500,300,200
@@ -97,8 +97,24 @@ class TestPlotData:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 482
-        scatter = (str(out) + ".scatter.csv")
-        assert len(open(scatter).read().strip().split("\n")) == 11
+        scatter = tmp_path / "curves.csv.scatter.csv"
+        assert len(scatter.read_text().strip().split("\n")) == 11
+
+    def test_checkpoint_curve(self, tmp_path, capsys):
+        # a checkpoint locked to kan_fb's published tanh must plot as kan_fb
+        net = kan.init_network([1, 1], grid_intervals=3, seed=0)
+        net.layers[0].edges[0][0].lock = kan.SymbolicLock(
+            symbolic.candidate_by_name("tanh"), 1.42, -0.82, -0.34, 0.39)
+        ckpt = tmp_path / "ck.json"
+        ckpt.write_text(net.to_json())
+        out = tmp_path / "c.csv"
+        code = cli.main(["plotdata", "--models", f"kan_fb,checkpoint:{ckpt}",
+                         "--out", str(out)])
+        assert code == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert table.shape == (481, 3)
+        np.testing.assert_allclose(table[:, 2], table[:, 1], rtol=0,
+                                   atol=1e-9)
 
 
 class TestFit:

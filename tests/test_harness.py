@@ -226,6 +226,7 @@ class TestEmitPlotData:
             "g2,900,1100,150,100\n"))
         out = tmp_path / "curves.csv"
         scatter = emit_plot_data([], ds, (0.2, 5.0, 0.1), out)
-        lines = open(scatter).read().strip().split("\n")
+        with open(scatter, encoding="utf-8") as fh:
+            lines = fh.read().strip().split("\n")
         assert lines[0] == "phi,qb_over_p,qd_over_p,qb,qd"
         assert len(lines) == 3

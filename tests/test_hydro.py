@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kanhydro import hydro
 from kanhydro.errors import (
@@ -161,6 +163,19 @@ class TestLoadCatchments:
         with pytest.raises(DataValidationError) as err:
             load_catchments(io.StringIO(text))
         assert ":2:" in str(err.value)
+
+    @given(column=st.integers(1, 4),
+           value=st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf",
+                                  "Infinity", "1e999"]),
+           row=st.integers(0, 2))
+    def test_non_finite_field_rejected(self, column, value, row):
+        lines = GOOD_CSV.strip().split("\n")
+        fields = lines[row + 1].split(",")
+        fields[column] = value
+        lines[row + 1] = ",".join(fields)
+        with pytest.raises(DataValidationError) as err:
+            load_catchments(io.StringIO("\n".join(lines) + "\n"))
+        assert f":{row + 2}:" in str(err.value)
 
     def test_strict_excludes_balance_violations(self):
         text = GOOD_CSV + "99,100,80,90,30\n"

@@ -1,5 +1,7 @@
 """Tests for the BFGS minimizer and the affine-wrap curve fitter."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,22 @@ class TestFitAffineWrap:
     def test_too_few_samples(self):
         with pytest.raises(InvalidArgumentError):
             optim.fit_affine_wrap(np.tanh, np.zeros(3), np.zeros(3))
+
+    def test_coarse_pass_skips_overflowed_grid_points(self):
+        # exp of large a*x + b overflows the coarse sums at some grid points
+        # and leaves NaN SSEs there; the start must be the best finite one
+        xs = np.linspace(0.0, 70.0, 80)
+        ys = 1000.0 * np.exp(-xs / 70.0)
+        grid = optim.AffineSearchGrid(a_magnitudes=np.geomspace(0.1, 10.0, 21),
+                                      b_values=np.linspace(-10.0, 10.0, 21),
+                                      max_samples=80)
+        coarse = optim.CoarseGrid.over(xs, ys, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p0, sse0 = optim.affine_start(np.exp, xs, ys, coarse)
+        assert np.all(np.isfinite(p0)) and np.isfinite(sse0)
+        with np.errstate(all="ignore"):
+            sses = [optim._solve_cd(np.exp(a * xs + b), ys)[2]
+                    for a in coarse.a_vals for b in coarse.b_vals]
+        best = min(s for s in sses if np.isfinite(s))
+        assert sse0 == pytest.approx(best, rel=1e-9)
