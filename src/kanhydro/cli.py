@@ -105,13 +105,10 @@ def _cmd_evaluate(args) -> int:
                                      "std": float(np.std(stats)),
                                      "n_repeats": args.repeats}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr,"
-                     "phi,prediction\n")
-            for rec, d, p in zip(ds.records, ds.derived, pred):
-                fh.write(f"{rec.gauge_id},{rec.p:.10g},{rec.pet:.10g},"
-                         f"{rec.qb:.10g},{rec.qd:.10g},{d.phi:.10g},"
-                         f"{p:.10g}\n")
+        harness.write_csv(
+            args.out, hydro.REQUIRED_COLUMNS + ["phi", "prediction"],
+            "%s," + ",".join(["%.10g"] * 6),
+            [ds.gauge_ids, ds.p, ds.pet, ds.qb, ds.qd, phi, pred])
     print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -124,10 +121,7 @@ def _cmd_synth(args) -> int:
         fn = formula  # expression string, parsed by synth_generate
     phi, ys = hydro.synth_generate(fn, args.n, (args.phi_min, args.phi_max),
                                    args.sigma, args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("phi,y\n")
-        for p, y in zip(phi, ys):
-            fh.write(f"{float(p)!r},{float(y)!r}\n")
+    harness.write_csv(args.out, ["phi", "y"], "%r,%r", [phi, ys])
     print(f"wrote {args.n} rows to {args.out}")
     return EXIT_OK
 

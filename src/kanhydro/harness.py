@@ -351,15 +351,20 @@ def emit_plot_data(models, ds, phi_spec, out_path) -> str:
         else:
             named.append(m)
     curves = [np.asarray(fn(phis), dtype=float) for _, fn in named]
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["phi"] + [name for name, _ in named]) + "\n")
-        for row in zip(phis, *curves):
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+    write_csv(out_path, ["phi"] + [name for name, _ in named],
+              ",".join(["%.10g"] * (1 + len(curves))), [phis, *curves])
     scatter_path = str(out_path) + ".scatter.csv"
-    with open(scatter_path, "w", encoding="utf-8") as fh:
-        fh.write("phi,qb_over_p,qd_over_p,qb,qd\n")
-        if ds is not None:
-            for rec, d in zip(ds.records, ds.derived):
-                fh.write(f"{d.phi:.10g},{d.qb_over_p:.10g},"
-                         f"{d.qd_over_p:.10g},{rec.qb:.10g},{rec.qd:.10g}\n")
+    columns = ["phi", "qb_over_p", "qd_over_p", "qb", "qd"]
+    write_csv(scatter_path, columns, ",".join(["%.10g"] * 5),
+              [] if ds is None else [ds.column(c) for c in columns])
     return scatter_path
+
+
+def write_csv(path, header, row_format, columns) -> None:
+    """Write a header line, then each row of the equal-length columns
+    (arrays or lists) through one %-format string, in one write."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                 for c in columns))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n"
+                 + "".join(map((row_format + "\n").__mod__, rows)))

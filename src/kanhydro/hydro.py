@@ -24,50 +24,51 @@ from .optim import OptimOptions, bfgs_minimize
 
 PHI_SUSPICIOUS = 10.0  # beyond this the loader flags the row as suspect
 
-REQUIRED_COLUMNS = ["gauge_id", "p_mm_yr", "pet_mm_yr", "qb_mm_yr", "qd_mm_yr"]
+# the raw columns by CSV header, and the dataset attribute holding each
+RAW_COLUMNS = {"p_mm_yr": "p", "pet_mm_yr": "pet", "qb_mm_yr": "qb",
+               "qd_mm_yr": "qd"}
+REQUIRED_COLUMNS = ["gauge_id", *RAW_COLUMNS]
 
-
-@dataclass(frozen=True)
-class CatchmentRecord:
-    gauge_id: str
-    p: float
-    pet: float
-    qb: float
-    qd: float
-
-
-@dataclass(frozen=True)
-class DerivedRecord:
-    phi: float
-    q: float
-    qb_over_p: float
-    qd_over_p: float
-    q_over_p: float
+DERIVED_COLUMNS = {
+    "phi": lambda d: d.pet / d.p,
+    "q": lambda d: d.qb + d.qd,
+    "qb_over_p": lambda d: d.qb / d.p,
+    "qd_over_p": lambda d: d.qd / d.p,
+    "q_over_p": lambda d: (d.qb + d.qd) / d.p,
+}
 
 
 @dataclass
 class CatchmentDataset:
-    records: list
-    derived: list
+    """Validated catchments as columns: one gauge id and one value per raw
+    column (mm/yr) for each catchment."""
+
+    gauge_ids: list
+    p: np.ndarray
+    pet: np.ndarray
+    qb: np.ndarray
+    qd: np.ndarray
     provenance: str = ""
     warnings: list = field(default_factory=list)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.gauge_ids)
 
     def column(self, name: str) -> np.ndarray:
-        """Vector view of a raw or derived field across all records."""
-        if name in ("p", "pet", "qb", "qd"):
-            return np.array([getattr(r, name) for r in self.records])
-        if name in ("phi", "q", "qb_over_p", "qd_over_p", "q_over_p"):
-            return np.array([getattr(d, name) for d in self.derived])
+        """A raw column, by attribute or CSV header name, or a derived one
+        (see DERIVED_COLUMNS)."""
+        name = RAW_COLUMNS.get(name, name)
+        if name in RAW_COLUMNS.values():
+            return getattr(self, name).copy()
+        if name in DERIVED_COLUMNS:
+            return DERIVED_COLUMNS[name](self)
         raise InvalidArgumentError(f"unknown column {name!r}")
 
     def subset(self, indices) -> "CatchmentDataset":
-        idx = list(indices)
-        return CatchmentDataset([self.records[i] for i in idx],
-                                [self.derived[i] for i in idx],
-                                self.provenance)
+        idx = np.fromiter(indices, dtype=np.intp)
+        return CatchmentDataset([self.gauge_ids[i] for i in idx.tolist()],
+                                self.p[idx], self.pet[idx], self.qb[idx],
+                                self.qd[idx], self.provenance)
 
 
 def aridity_index(p: float, pet: float) -> float:
@@ -76,13 +77,6 @@ def aridity_index(p: float, pet: float) -> float:
     if pet < 0:
         raise InvalidArgumentError("PET must be non-negative")
     return pet / p
-
-
-def _derive(rec: CatchmentRecord) -> DerivedRecord:
-    phi = rec.pet / rec.p
-    q = rec.qb + rec.qd
-    return DerivedRecord(phi=phi, q=q, qb_over_p=rec.qb / rec.p,
-                         qd_over_p=rec.qd / rec.p, q_over_p=q / rec.p)
 
 
 def _check_phi(phi):
@@ -268,9 +262,10 @@ def fit_parametric(family: str, xs, ys, x0,
 def load_catchments(path, strict: bool = True) -> CatchmentDataset:
     """Load and validate the comma-separated catchment file.
 
-    Rows violating the water balance (qb + qd > p) are excluded with a
-    warning in strict mode and kept (still warned) otherwise.
-    """
+    The first faulty line stops the load, naming the first of: too few
+    fields, a non-numeric field, a duplicate gauge id, a broken invariant.
+    Rows violating the water balance (qb + qd > p) are warned about, and
+    excluded in strict mode (still counting as duplicates)."""
     if hasattr(path, "read"):
         text = path.read()
         name = "<stream>"
@@ -291,61 +286,83 @@ def load_catchments(path, strict: bool = True) -> CatchmentDataset:
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise CsvParseError(f"{name}: missing required columns {missing}")
-    warnings = []
     extra = [c for c in header if c not in REQUIRED_COLUMNS]
-    if extra:
-        warnings.append(f"ignoring extra columns {extra}")
-    col = {c: header.index(c) for c in REQUIRED_COLUMNS}
+    warnings = [f"ignoring extra columns {extra}"] if extra else []
+    gi, *numeric = (header.index(c) for c in REQUIRED_COLUMNS)
 
-    records, derived, seen = [], [], {}
-    excluded = 0
+    # the fields stream into one list per column; the checks run on whole
+    # columns, and messages are built for failing lines only
+    ids, lines, fields = [], [], ([], [], [], [])
+    p_s, pet_s, qb_s, qd_s = fields
+    pi, peti, qbi, qdi = numeric
+    fault = None  # a short row, which ends the scan
     for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
         if len(row) < len(header):
-            raise CsvParseError(f"{name}:{line_no}: expected "
-                                f"{len(header)} fields, got {len(row)}")
-        gauge = row[col["gauge_id"]].strip()
-        try:
-            p = float(row[col["p_mm_yr"]])
-            pet = float(row[col["pet_mm_yr"]])
-            qb = float(row[col["qb_mm_yr"]])
-            qd = float(row[col["qd_mm_yr"]])
-        except ValueError as exc:
-            raise CsvParseError(f"{name}:{line_no}: non-numeric field "
-                                f"({exc})") from exc
-        if gauge in seen:
-            raise DataValidationError(
-                f"{name}:{line_no}: duplicate gauge_id {gauge!r} "
-                f"(first at line {seen[gauge]})")
-        seen[gauge] = line_no
-        # written positively so that NaN, which fails every comparison, is
-        # rejected along with inf
-        if not (0 < p < np.inf and 0 <= pet < np.inf and 0 <= qb < np.inf
-                and 0 <= qd < np.inf):
-            raise DataValidationError(
-                f"{name}:{line_no}: gauge {gauge!r} violates invariants "
-                f"(p > 0, pet/qb/qd >= 0, all finite); got p={p}, pet={pet}, "
-                f"qb={qb}, qd={qd}")
-        rec = CatchmentRecord(gauge, p, pet, qb, qd)
-        der = _derive(rec)
-        if qb + qd > p:
-            warnings.append(f"line {line_no}: gauge {gauge!r} has "
-                            f"qb + qd > p (negative annual evaporation)")
-            if strict:
-                excluded += 1
-                continue
-        if der.phi > PHI_SUSPICIOUS:
-            warnings.append(f"line {line_no}: gauge {gauge!r} has suspicious "
-                            f"aridity index {der.phi:.3g} > {PHI_SUSPICIOUS}")
-        records.append(rec)
-        derived.append(der)
-    if excluded:
-        warnings.append(f"excluded {excluded} water-balance-violating row(s)")
-    if not records:
+            if "".join(row).strip():
+                fault = CsvParseError(f"{name}:{line_no}: expected "
+                                      f"{len(header)} fields, got {len(row)}")
+                break
+            continue  # blank
+        gauge = row[gi].strip()
+        if not gauge and not "".join(row).strip():
+            continue  # blank
+        ids.append(gauge)
+        lines.append(line_no)
+        p_s.append(row[pi])
+        pet_s.append(row[peti])
+        qb_s.append(row[qbi])
+        qd_s.append(row[qdi])
+    try:
+        cols = np.array(fields, dtype=float)
+    except ValueError:  # it parses like float(), so float() finds the row
+        for n, row in enumerate(zip(*fields)):
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                fault = CsvParseError(f"{name}:{lines[n]}: non-numeric "
+                                      f"field ({exc})")
+                break
+        ids = ids[:n]
+        cols = np.array([f[:n] for f in fields], dtype=float)
+    p, pet, qb, qd = cols
+
+    n, seen = len(ids), {}
+    dup = n if len(set(ids)) == n else next(
+        k for k, g in enumerate(ids) if seen.setdefault(g, k) != k)
+    # NaN fails every comparison, so it is rejected along with inf
+    ok = (p > 0) & np.all((cols >= 0) & (cols < np.inf), axis=0)
+    bad = n if ok.all() else int(np.argmin(ok))
+    if dup < n and dup <= bad:
+        raise DataValidationError(
+            f"{name}:{lines[dup]}: duplicate gauge_id {ids[dup]!r} "
+            f"(first at line {lines[seen[ids[dup]]]})")
+    if bad < n:
+        raise DataValidationError(
+            f"{name}:{lines[bad]}: gauge {ids[bad]!r} violates invariants "
+            f"(p > 0, pet/qb/qd >= 0, all finite); got p={float(p[bad])}, "
+            f"pet={float(pet[bad])}, qb={float(qb[bad])}, "
+            f"qd={float(qd[bad])}")
+    if fault is not None:
+        raise fault
+
+    unbalanced = qb + qd > p
+    suspicious = (pet / p > PHI_SUSPICIOUS) & ~(strict & unbalanced)
+    for k in np.flatnonzero(unbalanced | suspicious).tolist():
+        where = f"line {lines[k]}: gauge {ids[k]!r} has"
+        if unbalanced[k]:
+            warnings.append(f"{where} qb + qd > p (negative annual "
+                            f"evaporation)")
+        if suspicious[k]:
+            warnings.append(f"{where} suspicious aridity index "
+                            f"{pet[k] / p[k]:.3g} > {PHI_SUSPICIOUS}")
+    if strict and unbalanced.any():
+        warnings.append(f"excluded {int(unbalanced.sum())} "
+                        f"water-balance-violating row(s)")
+        ids = [g for g, drop in zip(ids, unbalanced.tolist()) if not drop]
+        cols = cols[:, ~unbalanced]
+    if not ids:
         raise DataValidationError(f"{name}: no usable rows")
-    return CatchmentDataset(records, derived, provenance=name,
-                            warnings=warnings)
+    return CatchmentDataset(ids, *cols, provenance=name, warnings=warnings)
 
 
 def synth_generate(formula, n: int, phi_range, noise_sigma: float,

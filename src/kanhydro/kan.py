@@ -22,6 +22,7 @@ import numpy as np
 from . import bspline
 from .bspline import KnotGrid, SplineCoeffs
 from .errors import (
+    DataValidationError,
     DimMismatchError,
     DomainViolationError,
     InvalidArgumentError,
@@ -156,23 +157,35 @@ class KanNetwork:
 
     @staticmethod
     def from_json(text: str) -> "KanNetwork":
-        doc = json.loads(text)
-        net = init_network(doc["shape"], grid_intervals=1, seed=doc["seed"])
-        lookup = {(r["layer"], r["out"], r["in"]): r for r in doc["edges"]}
-        for l, j, i, _ in net.iter_edges():
-            rec = lookup[(l, j, i)]
-            g = rec["grid"]
-            grid = bspline.make_grid(g["domain_min"], g["domain_max"],
-                                     g["num_intervals"], g["order"])
-            lock = None
-            if "lock" in rec:
-                lk = rec["lock"]
-                lock = SymbolicLock(candidate_by_name(lk["candidate"]),
-                                    lk["a"], lk["b"], lk["c"], lk["d"],
-                                    frozen=lk["frozen"])
-            net.layers[l].edges[j][i] = EdgeActivation(
-                rec["w_b"], rec["w_c"], grid,
-                SplineCoeffs(np.array(rec["coeffs"])), lock)
+        """Inverse of to_json; a document that is not JSON, or lacks a field
+        or an edge, raises DataValidationError naming the problem."""
+        try:
+            doc = json.loads(text)
+            net = init_network(doc["shape"], grid_intervals=1,
+                               seed=doc["seed"])
+            lookup = {(r["layer"], r["out"], r["in"]): r
+                      for r in doc["edges"]}
+            for l, j, i, _ in net.iter_edges():
+                rec = lookup[(l, j, i)]
+                g = rec["grid"]
+                grid = bspline.make_grid(g["domain_min"], g["domain_max"],
+                                         g["num_intervals"], g["order"])
+                lock = None
+                if "lock" in rec:
+                    lk = rec["lock"]
+                    lock = SymbolicLock(candidate_by_name(lk["candidate"]),
+                                        lk["a"], lk["b"], lk["c"], lk["d"],
+                                        frozen=lk["frozen"])
+                net.layers[l].edges[j][i] = EdgeActivation(
+                    rec["w_b"], rec["w_c"], grid,
+                    SplineCoeffs(np.array(rec["coeffs"])), lock)
+        except json.JSONDecodeError as exc:
+            raise DataValidationError(f"checkpoint is not JSON: {exc}") from exc
+        except KeyError as exc:  # a field, or an edge as (layer, out, in)
+            raise DataValidationError(
+                f"checkpoint lacks {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise DataValidationError(f"malformed checkpoint: {exc}") from exc
         return net
 
 
@@ -247,16 +260,11 @@ def _edge_eval(edge: EdgeActivation, x: np.ndarray, want_grad: bool,
             raise DomainViolationError(
                 f"locked candidate {lk.candidate.name!r} undefined at "
                 f"argument {np.asarray(u)[~ok][:1]}")
-        # overflow to inf is legitimate here (e.g. cosh far from the data);
-        # callers guard against non-finite values
-        with np.errstate(over="ignore"):
-            fu = lk.candidate.fn(u)
+        fu = lk.candidate.fn(u)
         out = lk.c * fu + lk.d
         if not want_grad:
             return out, None
-        with np.errstate(over="ignore"):
-            fpu = lk.candidate.deriv(u)
-        return out, ("lock", fu, fpu, x)
+        return out, ("lock", fu, lk.candidate.deriv(u), x)
     basis, dbasis, silu, dsilu = inputs or _spline_inputs(edge.grid, x,
                                                           want_grad)
     spl = basis @ edge.coeffs.values
@@ -266,6 +274,7 @@ def _edge_eval(edge: EdgeActivation, x: np.ndarray, want_grad: bool,
     return out, ("spline", basis, dbasis, spl, silu, dsilu)
 
 
+@np.errstate(over="ignore")  # as in _forward
 def activation_eval(edge: EdgeActivation, x: float) -> float:
     """Single-edge activation value at a scalar input."""
     out, _ = _edge_eval(edge, np.asarray([float(x)]), want_grad=False)
@@ -289,6 +298,9 @@ def _fit_grid(edge: EdgeActivation, x: np.ndarray) -> None:
     edge.coeffs = bspline.fit_coeffs_least_squares(new_grid, dense, vals)
 
 
+# overflow is legitimate in the edges (silu far below zero is -0.0, cosh far
+# from the data inf); callers guard against non-finite values
+@np.errstate(over="ignore")
 def _forward(net: KanNetwork, xs: np.ndarray, want_cache: bool,
              layer0=None, fit_grids: bool = False):
     """Layer activations, per-edge outputs (flattening order) and, with
@@ -323,10 +335,10 @@ def forward(net: KanNetwork, x) -> np.ndarray:
     acts, _, _ = _forward(net, x, want_cache=False)
     return acts[-1][0]
 
+
 def forward_batch(net: KanNetwork, xs) -> np.ndarray:
-    """Evaluate on a batch (n, in_dim); returns (n, out_dim)."""
-    xs = np.asarray(xs, dtype=float)
-    acts, _, _ = _forward(net, xs, want_cache=False)
+    """Evaluate on a batch (n, in_dim), or 1-D xs as one column: (n, out)."""
+    acts, _, _ = _forward(net, _as_batch(xs), want_cache=False)
     return acts[-1]
 
 

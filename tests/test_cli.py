@@ -55,6 +55,75 @@ class TestEvaluate:
                          "--model", "kan_fb"]) == 1
 
 
+class TestGoldenOutput:
+    """Byte-for-byte output of the row writers on a small fixed table: a
+    leading-zero id, long mantissas, -0, a padded field, a water-balance
+    violation and an aridity index above 10 (both kept, as evaluate and
+    plotdata load leniently)."""
+
+    CSV = ("gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr\n"
+           "01013500,1000,500,300,200\n"
+           "b2,812.3456789012,1234.5678901234,101.25,0.001\n"
+           "c3,1500.5,3000.25,-0,1e-5\n"
+           "d4,100,1500,60,50\n"
+           "e5, 2.5e3 ,7,1999.99999999999,0.3333333333333333\n")
+
+    def test_evaluate_out(self, tmp_path, capsys):
+        data, out = tmp_path / "c.csv", tmp_path / "pred.csv"
+        data.write_text(self.CSV)
+        assert cli.main(["evaluate", "--data", str(data), "--model",
+                         "kan_fb", "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr,phi,prediction\n"
+            b"01013500,1000,500,300,200,0.5,0.4272498799\n"
+            b"b2,812.3456789,1234.56789,101.25,0.001,1.519756825,"
+            b"0.09379056672\n"
+            b"c3,1500.5,3000.25,-0,1e-05,1.999500167,0.06177576175\n"
+            b"d4,100,1500,60,50,15,0.05\n"
+            b"e5,2500,7,2000,0.3333333333,0.0028,0.6187860008\n")
+
+    def test_plotdata_scatter(self, tmp_path, capsys):
+        data, out = tmp_path / "c.csv", tmp_path / "curves.csv"
+        data.write_text(self.CSV)
+        assert cli.main(["plotdata", "--models", "kan_fb", "--data",
+                         str(data), "--out", str(out)]) == 0
+        scatter = tmp_path / "curves.csv.scatter.csv"
+        assert scatter.read_bytes() == (
+            b"phi,qb_over_p,qd_over_p,qb,qd\n"
+            b"0.5,0.3,0.2,300,200\n"
+            b"1.519756825,0.1246390578,1.23100304e-06,101.25,0.001\n"
+            b"1.999500167,-0,6.664445185e-09,-0,1e-05\n"
+            b"15,0.6,0.5,60,50\n"
+            b"0.0028,0.8,0.0001333333333,2000,0.3333333333\n")
+
+
+class TestCorruptCheckpoint:
+    """A checkpoint that is not a KanNetwork document is a validation
+    error (exit 1) naming what is wrong with it."""
+
+    def _evaluate(self, data_file, ckpt):
+        return cli.main(["evaluate", "--data", data_file, "--model",
+                         f"checkpoint:{ckpt}", "--target", "qb_over_p"])
+
+    def test_truncated(self, data_file, tmp_path, capsys):
+        text = kan.init_network([1, 1], grid_intervals=3, seed=0).to_json()
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(text[:len(text) // 2])
+        assert self._evaluate(data_file, ckpt) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint is not JSON" in err
+
+    def test_missing_edges(self, data_file, tmp_path, capsys):
+        doc = json.loads(
+            kan.init_network([1, 1], grid_intervals=3, seed=0).to_json())
+        del doc["edges"]
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(doc))
+        assert self._evaluate(data_file, ckpt) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint lacks 'edges'" in err
+
+
 class TestSynthAndMetrics:
     def test_synth_then_metrics(self, tmp_path, capsys):
         out = tmp_path / "synth.csv"

@@ -100,6 +100,16 @@ class TestRunPipeline:
         assert res.snap_results[0]["best"][0] == "tanh"
         assert "tanh" in res.formula_str
 
+    def test_targets_in_mm_per_year_raise_no_overflow_warning(self):
+        # FB targets are hundreds of mm/yr, so hidden activations reach far
+        # below zero, where silu's exp(-x) overflows (to the right -0.0)
+        phi, y = hydro.synth_generate(hydro.FIXED_MODELS["FB"], 302,
+                                      (0.2, 5), 20, 42)
+        tr, va = kfold_split(302, 2, 0)[0]
+        res = run_pipeline(phi[tr], y[tr], phi[va], y[va],
+                           HyperPoint([1, 2, 1], 3, 0))
+        assert res.validation_r2 > 0.9
+
     def test_records_presnap_score(self):
         phi, ys = synth(150)
         res = run_pipeline(phi, ys, phi, ys, HyperPoint([1, 1], 5, 1))

@@ -152,10 +152,28 @@ class TestLoadCatchments:
     def test_well_formed(self):
         ds = load_catchments(io.StringIO(GOOD_CSV))
         assert len(ds) == 3
-        for rec, der in zip(ds.records, ds.derived):
-            assert der.phi == pytest.approx(rec.pet / rec.p)
-            assert der.q_over_p == pytest.approx(
-                der.qb_over_p + der.qd_over_p, abs=1e-12)
+        assert ds.gauge_ids == ["01013500", "01030500", "01031500"]
+        assert np.array_equal(ds.column("phi"),
+                              ds.column("pet") / ds.column("p"))
+        np.testing.assert_allclose(
+            ds.column("q_over_p"),
+            ds.column("qb_over_p") + ds.column("qd_over_p"),
+            rtol=0, atol=1e-12)
+
+    def test_columns_by_header_name(self):
+        ds = load_catchments(io.StringIO(GOOD_CSV))
+        for header, short in hydro.RAW_COLUMNS.items():
+            assert np.array_equal(ds.column(header), ds.column(short))
+        assert ds.column("p_mm_yr").tolist() == [1000.0, 900.0, 1200.0]
+        with pytest.raises(InvalidArgumentError):
+            ds.column("gauge_id")
+
+    def test_subset_indexes_every_column(self):
+        ds = load_catchments(io.StringIO(GOOD_CSV))
+        sub = ds.subset(np.array([2, 0]))
+        assert sub.gauge_ids == ["01031500", "01013500"]
+        for name in ("p", "qd", "phi", "q_over_p"):
+            assert np.array_equal(sub.column(name), ds.column(name)[[2, 0]])
 
     def test_zero_precipitation_rejected(self):
         text = ("gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr\n"
@@ -176,6 +194,49 @@ class TestLoadCatchments:
         with pytest.raises(DataValidationError) as err:
             load_catchments(io.StringIO("\n".join(lines) + "\n"))
         assert f":{row + 2}:" in str(err.value)
+
+    # the row checks in the order the loader applies them to one row
+    FAULTS = {"short": (CsvParseError, "expected 5 fields"),
+              "non_numeric": (CsvParseError, "non-numeric field"),
+              "duplicate": (DataValidationError, "duplicate gauge_id"),
+              "invariant": (DataValidationError, "violates invariants")}
+
+    @given(faults=st.lists(
+               st.tuples(st.sampled_from(sorted(FAULTS)), st.integers(1, 7),
+                         st.integers(1, 4),
+                         st.sampled_from(["-1", "nan", "-inf", "0"])),
+               min_size=2, max_size=2),
+           strict=st.booleans())
+    def test_first_faulty_line_is_reported(self, faults, strict):
+        # row 2 breaks the water balance: strict mode excludes it, yet a
+        # later copy of its id is still a duplicate
+        rows = [[f"g{k}", str(1000 + k), "800", "300", "200"]
+                for k in range(8)]
+        rows[2][1] = "400"
+        precedence = list(self.FAULTS)
+        planted = {}  # row -> highest-precedence fault planted on it
+        for kind, row, col, value in sorted(
+                faults, key=lambda f: -precedence.index(f[0])):
+            fields = rows[row]
+            if kind == "short":
+                rows[row] = fields[:col]
+            elif kind == "non_numeric":
+                fields[col] = "oops"
+            elif kind == "duplicate":
+                fields[0] = rows[col % row][0]
+            elif value != "0" or col == 1:  # 0 is valid for pet, qb, qd
+                fields[col] = value
+            else:
+                fields[col] = "-0.5"
+            planted[row] = kind
+        first = min(planted)
+        cls, text = self.FAULTS[planted[first]]
+        csv_text = "\n".join(["gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr"]
+                             + [",".join(r) for r in rows]) + "\n"
+        with pytest.raises(cls) as err:
+            load_catchments(io.StringIO(csv_text), strict=strict)
+        assert str(err.value).startswith(f"<stream>:{first + 2}: ")
+        assert text in str(err.value)
 
     def test_strict_excludes_balance_violations(self):
         text = GOOD_CSV + "99,100,80,90,30\n"

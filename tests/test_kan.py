@@ -110,6 +110,15 @@ class TestForward:
         with pytest.raises(DimMismatchError):
             forward(net, [1.0])
 
+    def test_batch_of_one_dimensional_input(self):
+        # a 1-D xs is one input column, as in train and the losses
+        net = init_network([1, 2, 1], 3, seed=0)
+        xs = np.linspace(-2.0, 2.0, 7)
+        assert np.array_equal(forward_batch(net, xs),
+                              forward_batch(net, xs.reshape(-1, 1)))
+        with pytest.raises(DimMismatchError):
+            forward_batch(init_network([2, 1], 3, seed=0), xs)
+
 
 class TestLosses:
     def test_perfect_predictions(self):
