@@ -1,4 +1,4 @@
-"""Uniform B-spline grids: basis evaluation, least-squares fitting, refinement.
+"""Uniform B-spline grids: basis evaluation and least-squares fitting.
 
 Knot vectors are uniform over the domain with ``order`` extension knots
 continuing the same spacing on each side, so the basis stays defined (and
@@ -35,10 +35,6 @@ class KnotGrid:
     @property
     def num_basis(self) -> int:
         return self.num_intervals + self.order
-
-    @property
-    def spacing(self) -> float:
-        return (self.domain_max - self.domain_min) / self.num_intervals
 
 
 @dataclass
@@ -109,11 +105,6 @@ def basis_and_deriv_matrix(grid: KnotGrid, xs) -> tuple[np.ndarray, np.ndarray]:
     return _cox_de_boor(grid, xs, want_deriv=True)
 
 
-def basis_eval(grid: KnotGrid, x: float) -> np.ndarray:
-    """Basis vector B_i(x) of length G + k at a single point."""
-    return basis_matrix(grid, [x])[0]
-
-
 def spline_eval(grid: KnotGrid, coeffs: SplineCoeffs, x) -> float | np.ndarray:
     """Evaluate sum_i c_i B_i(x)."""
     c = coeffs.values
@@ -145,19 +136,3 @@ def fit_coeffs_least_squares(grid: KnotGrid, xs, ys) -> SplineCoeffs:
         raise RankDeficientError("least-squares solution is not finite")
     return SplineCoeffs(c)
 
-
-def extend_grid(grid: KnotGrid, coeffs: SplineCoeffs,
-                new_num_intervals: int) -> tuple[KnotGrid, SplineCoeffs]:
-    """Re-express a spline on a grid with a different interval count.
-
-    The old spline is densely resampled over the domain and refit, so old and
-    new values agree up to the least-squares residual of the new span.
-    """
-    if new_num_intervals < 1:
-        raise InvalidArgumentError("new_num_intervals must be >= 1")
-    new_grid = make_grid(grid.domain_min, grid.domain_max,
-                         new_num_intervals, grid.order)
-    n_samples = max(20 * new_grid.num_basis, 20 * grid.num_basis, 200)
-    xs = np.linspace(grid.domain_min, grid.domain_max, n_samples)
-    ys = spline_eval(grid, coeffs, xs)
-    return new_grid, fit_coeffs_least_squares(new_grid, xs, ys)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime/optimizer failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -56,8 +57,11 @@ def _cmd_fit(args) -> int:
     for w in ds.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.config:
-        config = harness.GridSearchConfig.from_json(
-            Path(args.config).read_text(encoding="utf-8"))
+        try:
+            config = harness.GridSearchConfig.from_json(
+                Path(args.config).read_bytes())
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"{args.config}: {exc}") from exc
     else:
         config = harness.GridSearchConfig()
     report = harness.fit(ds, args.target, config, threads=args.threads)
@@ -127,10 +131,16 @@ def _cmd_synth(args) -> int:
 
 
 def _read_columns(path, names):
-    import csv as _csv
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.DictReader(fh)
-        rows = list(reader)
+        reader = csv.DictReader(fh)
+        rows = []
+        for row in reader:
+            got = sum(v is not None for v in row.values())
+            if got < len(reader.fieldnames):  # DictReader pads with None
+                raise CsvParseError(f"{path}:{reader.line_num}: expected "
+                                    f"{len(reader.fieldnames)} fields, "
+                                    f"got {got}")
+            rows.append(row)
     cols = []
     for name in names:
         if not rows or name not in rows[0]:

@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +39,10 @@ PIPELINE_SNAP_SEARCH = AffineSearchGrid(
 )
 
 
+# the JSON values a GridSearchConfig field accepts, by its annotation
+_JSON_TYPES = {"list": list, "int": int, "float": (int, float)}
+
+
 @dataclass
 class GridSearchConfig:
     shapes: list = field(default_factory=lambda: [[1, 1], [1, 2, 1], [1, 3, 1]])
@@ -60,14 +64,24 @@ class GridSearchConfig:
             raise InvalidArgumentError("hyperparameter lists must be nonempty")
 
     @staticmethod
-    def from_json(text: str) -> "GridSearchConfig":
-        doc = json.loads(text)
-        known = {"shapes", "grid_intervals", "seeds", "lambda_",
-                 "prune_threshold", "folds", "split_ratio", "split_seed",
-                 "train_max_iters"}
-        unknown = set(doc) - known
+    def from_json(text) -> "GridSearchConfig":
+        """A config from a JSON object (str or UTF-8 bytes) of some of its
+        fields; anything else raises InvalidArgumentError."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidArgumentError(f"config is not JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise InvalidArgumentError("config is not a JSON object")
+        types = {f.name: f.type for f in fields(GridSearchConfig)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise InvalidArgumentError(f"unknown config keys {sorted(unknown)}")
+        for key, value in doc.items():
+            if (isinstance(value, bool)
+                    or not isinstance(value, _JSON_TYPES[types[key]])):
+                raise InvalidArgumentError(
+                    f"config key {key!r} must be {types[key]}, got {value!r}")
         return GridSearchConfig(**doc)
 
     def to_dict(self) -> dict:
@@ -110,10 +124,6 @@ class FitReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "FitReport":
-        return FitReport(**json.loads(text))
-
 
 def split_indices(n: int, ratio: float, seed: int):
     """Deterministic shuffled 2-way split; train gets ceil(ratio * n) rows."""
@@ -124,18 +134,6 @@ def split_indices(n: int, ratio: float, seed: int):
     perm = np.random.default_rng(seed).permutation(n)
     n_train = math.ceil(ratio * n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
-
-
-def train_test_split(ds, ratio: float, seed: int):
-    """Split a dataset (or (X, y) pair) into disjoint covering parts."""
-    if isinstance(ds, CatchmentDataset):
-        tr, te = split_indices(len(ds), ratio, seed)
-        return ds.subset(tr), ds.subset(te)
-    xs, ys = ds
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    tr, te = split_indices(ys.size, ratio, seed)
-    return (xs[tr], ys[tr]), (xs[te], ys[te])
 
 
 def kfold_split(n: int, k: int, seed: int):
@@ -160,8 +158,7 @@ def kfold_split(n: int, k: int, seed: int):
 
 def run_pipeline(x_pre, y_pre, x_val, y_val, hp: HyperPoint, *,
                  lambda_: float = 1e-3, prune_threshold: float = 1e-2,
-                 train_max_iters: int = 100,
-                 snap_search: AffineSearchGrid | None = None) -> PipelineResult:
+                 train_max_iters: int = 100) -> PipelineResult:
     """The five-step procedure: train, prune, snap, refine, extract.
 
     prune_threshold is relative to the maximum edge importance. When a
@@ -170,7 +167,6 @@ def run_pipeline(x_pre, y_pre, x_val, y_val, hp: HyperPoint, *,
     """
     x_pre = np.asarray(x_pre, dtype=float).reshape(len(y_pre), -1)
     y_pre = np.asarray(y_pre, dtype=float)
-    snap_search = snap_search or PIPELINE_SNAP_SEARCH
 
     net = kan.init_network(hp.shape, hp.grid_intervals, hp.seed)
     net = kan.adapt_grids(net, x_pre)
@@ -178,15 +174,13 @@ def run_pipeline(x_pre, y_pre, x_val, y_val, hp: HyperPoint, *,
                         f_rel_tol=1e-10)
     net = kan.train(net, x_pre, y_pre, lambda_, opts)
 
-    importances = kan.edge_importances(net, x_pre)
-    threshold = prune_threshold * float(importances.max())
-    net = kan.prune(net, threshold, x_pre)
+    net = kan.prune(net, prune_threshold, x_pre)
 
     snap_results = []
     for l, j, i, edge in list(net.iter_edges()):
         if edge.lock is None:
-            net, snap = kan.snap_edge(net, l, j, i, None, x_pre,
-                                      search=snap_search)
+            net, snap = kan.snap_edge(net, l, j, i, x_pre,
+                                      PIPELINE_SNAP_SEARCH)
             snap_results.append({"edge": [l, j, i], "best": list(snap.best)})
 
     presnap_r2 = None

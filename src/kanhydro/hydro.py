@@ -71,14 +71,6 @@ class CatchmentDataset:
                                 self.qd[idx], self.provenance)
 
 
-def aridity_index(p: float, pet: float) -> float:
-    if p <= 0:
-        raise InvalidArgumentError("precipitation must be positive")
-    if pet < 0:
-        raise InvalidArgumentError("PET must be non-negative")
-    return pet / p
-
-
 def _check_phi(phi):
     phi = np.asarray(phi, dtype=float)
     if np.any(phi < 0):
@@ -124,17 +116,13 @@ def eval_FB(phi):
     return _maybe_scalar(phi, 47.13 + 1932.52 * np.exp(-1.42 * (p + 0.29) ** 2))
 
 
-def eval_FD(phi, clamp_negative: bool = False):
+def eval_FD(phi):
     """Q_D = 616.82 - 418.39*arctan(2.84*phi - 0.87), mm/yr.
 
-    Goes negative for phi beyond about 3.949; pass clamp_negative=True to
-    floor at zero.
+    Goes negative for phi beyond about 3.949.
     """
     p = _check_phi(phi)
-    out = 616.82 - 418.39 * np.arctan(2.84 * p - 0.87)
-    if clamp_negative:
-        out = np.maximum(out, 0.0)
-    return _maybe_scalar(phi, out)
+    return _maybe_scalar(phi, 616.82 - 418.39 * np.arctan(2.84 * p - 0.87))
 
 
 FIXED_MODELS = {
@@ -276,6 +264,8 @@ def load_catchments(path, strict: bool = True) -> CatchmentDataset:
                 text = fh.read()
         except OSError as exc:
             raise CsvParseError(f"cannot read {name}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CsvParseError(f"{name}: not UTF-8 text ({exc})") from exc
 
     reader = csv.reader(io.StringIO(text))
     try:

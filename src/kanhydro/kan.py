@@ -274,13 +274,6 @@ def _edge_eval(edge: EdgeActivation, x: np.ndarray, want_grad: bool,
     return out, ("spline", basis, dbasis, spl, silu, dsilu)
 
 
-@np.errstate(over="ignore")  # as in _forward
-def activation_eval(edge: EdgeActivation, x: float) -> float:
-    """Single-edge activation value at a scalar input."""
-    out, _ = _edge_eval(edge, np.asarray([float(x)]), want_grad=False)
-    return float(out[0])
-
-
 def _fit_grid(edge: EdgeActivation, x: np.ndarray) -> None:
     """Rescale an unlocked edge's grid to its inputs x with a 10% margin,
     refitting the coefficients so the spline keeps its shape."""
@@ -329,13 +322,6 @@ def _forward(net: KanNetwork, xs: np.ndarray, want_cache: bool,
     return acts, edge_outs, caches
 
 
-def forward(net: KanNetwork, x) -> np.ndarray:
-    """Evaluate the network at one input vector."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    acts, _, _ = _forward(net, x, want_cache=False)
-    return acts[-1][0]
-
-
 def forward_batch(net: KanNetwork, xs) -> np.ndarray:
     """Evaluate on a batch (n, in_dim), or 1-D xs as one column: (n, out)."""
     acts, _, _ = _forward(net, _as_batch(xs), want_cache=False)
@@ -356,16 +342,6 @@ def _check_batch(net, xs, ys):
     if net.shape[-1] != 1:
         raise DimMismatchError("loss functions require a single output head")
     return xs, ys
-
-
-def batch_rmse_loss(net: KanNetwork, xs, ys) -> float:
-    """RMSE of the single output head; inf where it overflows."""
-    return loss_and_gradient(net, xs, ys, 0.0)[0]
-
-
-def regularized_loss(net: KanNetwork, xs, ys, lam: float) -> float:
-    """RMSE + lambda * (sum of edge L1 magnitudes + magnitude entropy)."""
-    return loss_and_gradient(net, xs, ys, lam)[0]
 
 
 def _magnitudes(edge_outs) -> np.ndarray:
@@ -391,7 +367,9 @@ def _penalty(edge_outs):
 
 
 def loss_and_gradient(net: KanNetwork, xs, ys, lam: float, *, _layer0=None):
-    """Regularized loss and its analytic gradient (reverse accumulation).
+    """RMSE of the single output head plus lam * (sum of the edge
+    magnitudes + their entropy), and its analytic gradient (reverse
+    accumulation). An overflowing loss is inf, with a NaN gradient.
 
     ``_layer0`` is for ``train`` only: ``layer0_inputs(net, xs)`` computed
     earlier for the same xs and layer-0 grids, which saves rebuilding the
@@ -465,11 +443,6 @@ def loss_and_gradient(net: KanNetwork, xs, ys, lam: float, *, _layer0=None):
     return loss, np.concatenate(grads)
 
 
-def gradient(net: KanNetwork, xs, ys, lam: float) -> np.ndarray:
-    """Flat analytic gradient of regularized_loss over all parameters."""
-    return loss_and_gradient(net, xs, ys, lam)[1]
-
-
 def adapt_grids(net: KanNetwork, xs) -> KanNetwork:
     """Rescale each edge's grid to its observed inputs with a 10% margin.
 
@@ -505,10 +478,12 @@ def edge_importances(net: KanNetwork, xs) -> np.ndarray:
 
 
 def prune(net: KanNetwork, threshold: float, xs) -> KanNetwork:
-    """Zero-lock weak edges and dead hidden nodes; shape is preserved."""
+    """Zero-lock weak edges, those below threshold times the largest edge
+    importance, and dead hidden nodes; shape is preserved."""
     if threshold < 0:
         raise InvalidArgumentError("threshold must be >= 0")
     imps = edge_importances(net, xs)
+    threshold *= float(imps.max())
     net = net.clone()
     imp = {}
     for k, (l, j, i, _) in enumerate(net.iter_edges()):
@@ -534,8 +509,7 @@ def prune(net: KanNetwork, threshold: float, xs) -> KanNetwork:
     return net
 
 
-def snap_edge(net: KanNetwork, layer: int, out_idx: int, in_idx: int,
-              library: list | None = None, xs=None,
+def snap_edge(net: KanNetwork, layer: int, out_idx: int, in_idx: int, xs,
               search: AffineSearchGrid | None = None):
     """Lock one edge to its best-fitting symbolic candidate.
 
@@ -548,8 +522,7 @@ def snap_edge(net: KanNetwork, layer: int, out_idx: int, in_idx: int,
     acts, edge_outs, _ = _forward(net, _as_batch(xs), want_cache=False)
     flat = (sum(lay.out_dim * lay.in_dim for lay in net.layers[:layer])
             + out_idx * net.layers[layer].in_dim + in_idx)
-    result = rank_candidates(acts[layer][:, in_idx], edge_outs[flat],
-                             library, search)
+    result = rank_candidates(acts[layer][:, in_idx], edge_outs[flat], search)
     name, a, b, c, d, _ = result.best
     net = net.clone()
     net.layers[layer].edges[out_idx][in_idx].lock = SymbolicLock(

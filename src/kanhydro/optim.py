@@ -25,19 +25,20 @@ STATUS_LINE_SEARCH_FAILURE = "line-search-failure"
 
 ZERO_VARIANCE_TOL = 1e-12
 
+# strong Wolfe conditions: sufficient decrease (c1) and curvature (c2),
+# 0 < c1 < c2 < 1, and the most trial steps one line search takes
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+MAX_LINE_SEARCH_STEPS = 40
+
 
 @dataclass(frozen=True)
 class OptimOptions:
     max_iters: int = 200
     grad_tol: float = 1e-8
     f_rel_tol: float = 1e-12
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    max_line_search_steps: int = 40
 
     def __post_init__(self):
-        if not 0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0:
-            raise InvalidArgumentError("need 0 < c1 < c2 < 1")
         if self.grad_tol <= 0 or self.f_rel_tol <= 0:
             raise InvalidArgumentError("tolerances must be positive")
 
@@ -72,21 +73,20 @@ def _interpolate(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi=None):
     return a_lo + 0.5 * span
 
 
-def _zoom(phi, dphi, a_lo, a_hi, f_lo, d_lo, f_hi, d_hi, f0, d0, opts):
+def _zoom(phi, dphi, a_lo, a_hi, f_lo, d_lo, f_hi, d_hi, f0, d0):
     """Nocedal-Wright zoom; returns (alpha, f, grad_dot) or None."""
-    c1, c2 = opts.wolfe_c1, opts.wolfe_c2
-    for _ in range(opts.max_line_search_steps):
+    for _ in range(MAX_LINE_SEARCH_STEPS):
         lo, hi = (a_lo, a_hi) if a_lo < a_hi else (a_hi, a_lo)
         width = hi - lo
         a = _interpolate(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi)
         if not (lo + 0.1 * width <= a <= hi - 0.1 * width):
             a = 0.5 * (a_lo + a_hi)
         fa = phi(a)
-        if not np.isfinite(fa) or fa > f0 + c1 * a * d0 or fa >= f_lo:
+        if not np.isfinite(fa) or fa > f0 + WOLFE_C1 * a * d0 or fa >= f_lo:
             a_hi, f_hi, d_hi = a, fa, None
         else:
             da = dphi(a)
-            if abs(da) <= -c2 * d0:
+            if abs(da) <= -WOLFE_C2 * d0:
                 return a, fa, da
             if da * (a_hi - a_lo) >= 0.0:
                 a_hi, f_hi, d_hi = a_lo, f_lo, d_lo
@@ -98,25 +98,24 @@ def _zoom(phi, dphi, a_lo, a_hi, f_lo, d_lo, f_hi, d_hi, f0, d0, opts):
     return None
 
 
-def _line_search_wolfe(phi, dphi, f0, d0, opts):
+def _line_search_wolfe(phi, dphi, f0, d0):
     """Strong Wolfe line search. Returns (alpha, f, grad_dot) or None."""
-    c1, c2 = opts.wolfe_c1, opts.wolfe_c2
     a_prev, f_prev, d_prev = 0.0, f0, d0
     a = 1.0
-    for it in range(opts.max_line_search_steps):
+    for it in range(MAX_LINE_SEARCH_STEPS):
         fa = phi(a)
         if not np.isfinite(fa):
             a = 0.5 * (a_prev + a)
             continue
-        if fa > f0 + c1 * a * d0 or (it > 0 and fa >= f_prev):
+        if fa > f0 + WOLFE_C1 * a * d0 or (it > 0 and fa >= f_prev):
             return _zoom(phi, dphi, a_prev, a, f_prev, d_prev, fa, None,
-                         f0, d0, opts)
+                         f0, d0)
         da = dphi(a)
-        if abs(da) <= -c2 * d0:
+        if abs(da) <= -WOLFE_C2 * d0:
             return a, fa, da
         if da >= 0.0:
             return _zoom(phi, dphi, a, a_prev, fa, da, f_prev, d_prev,
-                         f0, d0, opts)
+                         f0, d0)
         a_prev, f_prev, d_prev = a, fa, da
         a = 2.0 * a
     return None
@@ -184,7 +183,7 @@ def bfgs_minimize(objective, gradient, x0, opts: OptimOptions | None = None) -> 
             g_cache[a] = ga
             return float(ga @ p)
 
-        res = _line_search_wolfe(phi, dphi, f, d0, opts)
+        res = _line_search_wolfe(phi, dphi, f, d0)
         if res is None:
             status = STATUS_LINE_SEARCH_FAILURE
             break
@@ -361,8 +360,9 @@ def fit_r2(sse: float, ys) -> float:
 
 
 def fit_affine_wrap(f, xs, ys, ab_grid: AffineSearchGrid | None = None, *,
-                    domain=None, deriv=None, start=None):
-    """Fit y = c*f(a*x + b) + d; returns (a, b, c, d, r2).
+                    deriv, domain=None, start=None):
+    """Fit y = c*f(a*x + b) + d, where deriv is f's derivative; returns
+    (a, b, c, d, r2).
 
     A coarse (a, b) grid with closed-form (c, d) seeds a joint BFGS polish of
     all four parameters; ``start``, the [a, b, c, d] of an affine_start call
@@ -400,11 +400,7 @@ def fit_affine_wrap(f, xs, ys, ab_grid: AffineSearchGrid | None = None, *,
         # asked for only where the objective is finite, so fu is finite
         _, fu, uu = f_at(p)
         cc, dd = p[2], p[3]
-        if deriv is not None:
-            fpu = deriv(uu)
-        else:
-            h = 1e-6
-            fpu = (f(uu + h) - f(uu - h)) / (2 * h)
+        fpu = deriv(uu)
         fpu = np.where(np.isfinite(fpu), fpu, 0.0)
         r = cc * fu + dd - ys
         return np.array([

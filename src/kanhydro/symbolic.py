@@ -156,11 +156,10 @@ class SnapResult:
     """Candidates ranked by affine-fit R^2 (ties by ascending complexity)."""
 
     ranked: list[tuple[str, float, float, float, float, float]]
-    chosen: int = 0
 
     @property
     def best(self):
-        return self.ranked[self.chosen]
+        return self.ranked[0]
 
 
 # rank_candidates polishes only the candidates whose coarse fits are best;
@@ -169,7 +168,7 @@ class SnapResult:
 POLISH_TOP_K = 4
 
 
-def rank_candidates(xs, ys, library: list[CandidateFunction] | None = None,
+def rank_candidates(xs, ys,
                     search: AffineSearchGrid | None = None) -> SnapResult:
     """Fit every feasible candidate and sort by descending R^2.
 
@@ -182,16 +181,15 @@ def rank_candidates(xs, ys, library: list[CandidateFunction] | None = None,
         raise LengthMismatchError("xs and ys must have equal length")
     if xs.size < 4:
         raise InvalidArgumentError("need at least 4 samples")
-    library = library if library is not None else candidate_library()
 
     if float(np.var(ys)) < ZERO_VARIANCE_TOL:
         # constant target: the zero candidate with offset d wins by convention
         return SnapResult([("0", 1.0, 0.0, 0.0, float(ys.mean()), 1.0)])
 
-    complexity = {c.name: c.complexity for c in library}
+    complexity = {c.name: c.complexity for c in _LIBRARY}
     coarse = CoarseGrid.over(xs, ys, search)  # the same for every candidate
     starts = []
-    for cand in library:
+    for cand in _LIBRARY:
         try:
             p0, sse0 = affine_start(cand.fn, xs, ys, coarse,
                                     domain=cand.domain)

@@ -1,4 +1,4 @@
-"""Tests for B-spline grids, basis evaluation, fitting, and refinement."""
+"""Tests for B-spline grids, basis evaluation, and fitting."""
 
 import numpy as np
 import pytest
@@ -28,7 +28,6 @@ class TestMakeGrid:
 
     def test_uniform_spacing(self):
         grid = bspline.make_grid(0.0, 10.0, 10, 3)
-        assert grid.spacing == pytest.approx(1.0)
         assert np.allclose(np.diff(grid.knots), 1.0)
 
     def test_knots_strictly_increasing(self):
@@ -51,7 +50,7 @@ class TestMakeGrid:
 class TestBasisEval:
     def test_cubic_values_at_interior_knot(self):
         grid = bspline.make_grid(0.0, 5.0, 5, 3)
-        vals = bspline.basis_eval(grid, 2.0)
+        vals = bspline.basis_matrix(grid, [2.0])[0]
         active = vals[np.abs(vals) > 1e-14]
         assert active == pytest.approx([1 / 6, 2 / 3, 1 / 6], abs=1e-12)
 
@@ -81,7 +80,7 @@ class TestBasisEval:
 
     def test_degree_zero_indicator(self):
         grid = bspline.make_grid(0.0, 4.0, 4, 0)
-        vals = bspline.basis_eval(grid, 2.5)
+        vals = bspline.basis_matrix(grid, [2.5])[0]
         assert np.count_nonzero(vals) == 1
         assert vals[2] == 1.0
 
@@ -168,36 +167,3 @@ class TestFitLeastSquares:
             bspline.fit_coeffs_least_squares(grid, np.array([0.1, 0.5]),
                                              np.array([1.0, 2.0]))
 
-
-class TestExtendGrid:
-    def _spline(self, g=5, seed=11):
-        rng = np.random.default_rng(seed)
-        grid = bspline.make_grid(-1.0, 1.0, g, 3)
-        return grid, bspline.SplineCoeffs(rng.normal(size=grid.num_basis))
-
-    def test_refinement_preserves_values(self):
-        grid, coeffs = self._spline()
-        new_grid, new_coeffs = bspline.extend_grid(grid, coeffs, 10)
-        xs = np.linspace(-0.99, 0.99, 100)
-        old = bspline.spline_eval(grid, coeffs, xs)
-        new = bspline.spline_eval(new_grid, new_coeffs, xs)
-        assert np.max(np.abs(old - new)) < 1e-6
-
-    def test_identity_refinement(self):
-        grid, coeffs = self._spline()
-        _, new_coeffs = bspline.extend_grid(grid, coeffs, 5)
-        assert new_coeffs.values == pytest.approx(coeffs.values, abs=1e-6)
-
-    def test_coarsening_exact_for_cubic(self):
-        grid = bspline.make_grid(-1.0, 1.0, 10, 3)
-        xs = np.linspace(-1, 1, 300)
-        poly = 0.5 * xs**3 - xs**2 + 0.25 * xs + 2.0
-        coeffs = bspline.fit_coeffs_least_squares(grid, xs, poly)
-        new_grid, new_coeffs = bspline.extend_grid(grid, coeffs, 3)
-        vals = bspline.spline_eval(new_grid, new_coeffs, xs)
-        assert np.max(np.abs(vals - poly)) < 1e-6
-
-    def test_invalid_target(self):
-        grid, coeffs = self._spline()
-        with pytest.raises(InvalidArgumentError):
-            bspline.extend_grid(grid, coeffs, 0)

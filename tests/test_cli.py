@@ -143,6 +143,14 @@ class TestSynthAndMetrics:
         assert vals["nse"] == pytest.approx(1.0)
         assert vals["rmse"] == 0.0
 
+    def test_metrics_short_row(self, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        data.write_text("phi,y\n1,2\n3\n")
+        assert cli.main(["metrics", "--data", str(data),
+                         "--obs-col", "phi", "--sim-col", "y"]) == 1
+        assert (f"error: {data}:3: expected 2 fields, got 1"
+                in capsys.readouterr().err)
+
     def test_synth_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["synth", "--formula", "kan_fb", "--n", "30", "--sigma",
@@ -215,9 +223,14 @@ class TestFit:
         assert report["test_metrics"]["nse"] > 0.9
         assert (out_dir / "summary.txt").exists()
 
-    def test_bad_config_key(self, data_file, tmp_path):
+    def test_bad_config_key(self, data_file, tmp_path, capsys):
+        # an unknown key, text that is not JSON, JSON that is not an
+        # object, and a wrongly typed value
         config = tmp_path / "config.json"
-        config.write_text('{"bogus": true}')
-        assert cli.main(["fit", "--data", data_file, "--target", "qb_over_p",
-                         "--config", str(config),
-                         "--out", str(tmp_path / "o")]) == 1
+        for text in ('{"bogus": true}', "folds = 3", "[3]",
+                     '{"folds": "ten"}'):
+            config.write_text(text)
+            assert cli.main(["fit", "--data", data_file, "--target",
+                             "qb_over_p", "--config", str(config),
+                             "--out", str(tmp_path / "o")]) == 1
+            assert f"error: {config}: " in capsys.readouterr().err

@@ -17,7 +17,6 @@ from kanhydro.harness import (
     kfold_split,
     run_pipeline,
     split_indices,
-    train_test_split,
 )
 
 FORMULA = "0.39 - 0.34*tanh(1.42*x - 0.82)"
@@ -58,9 +57,9 @@ class TestSplits:
             split_indices(4, 0.8, 0)
 
     def test_dataset_split(self):
-        phi, ys = synth(50)
-        (xt, yt), (xe, ye) = train_test_split((phi, ys), 0.8, 0)
-        assert len(yt) == 40 and len(ye) == 10
+        _, ys = synth(50)
+        tr, te = split_indices(len(ys), 0.8, 0)
+        assert len(ys[tr]) == 40 and len(ys[te]) == 10
 
 
 class TestKfold:
@@ -167,8 +166,8 @@ class TestFinalize:
         cfg = small_config()
         report = finalize(HyperPoint([1, 1], 3, 0), phi, ys, phi, ys,
                           "qb_over_p", cfg)
-        back = FitReport.from_json(report.to_json())
-        assert back.to_json() == report.to_json()
+        text = report.to_json()
+        assert FitReport(**json.loads(text)).to_json() == text
 
     def test_noise_floor_quality(self):
         phi, ys = synth(302, 0.02, seed=7)
@@ -190,6 +189,24 @@ class TestConfig:
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(InvalidArgumentError):
             GridSearchConfig.from_json('{"bogus": 1}')
+
+    @pytest.mark.parametrize("text, message", [
+        ("{folds: 3}", "not JSON"),
+        (b"{\"folds\": \"\xff\"}", "not JSON"),
+        ("[1, 2]", "not a JSON object"),
+        ('"folds"', "not a JSON object"),
+        ('{"folds": "ten"}', "'folds' must be int"),
+        ('{"folds": 2.5}', "'folds' must be int"),
+        ('{"folds": true}', "'folds' must be int"),
+        ('{"lambda_": "0.1"}', "'lambda_' must be float"),
+        ('{"shapes": 3}', "'shapes' must be list"),
+    ])
+    def test_from_json_rejects_malformed(self, text, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            GridSearchConfig.from_json(text)
+
+    def test_from_json_accepts_int_for_float(self):
+        assert GridSearchConfig.from_json('{"lambda_": 0}').lambda_ == 0
 
     def test_from_json_roundtrip(self):
         cfg = small_config()

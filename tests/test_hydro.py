@@ -15,7 +15,6 @@ from kanhydro.errors import (
 )
 from kanhydro.hydro import (
     AridityModel,
-    aridity_index,
     eval_FB,
     eval_FD,
     eval_kan_fB,
@@ -34,6 +33,13 @@ GOOD_CSV = """gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr
 """
 
 
+def aridity_index(p, pet):
+    """phi = PET / P of a one-catchment file, as the loader derives it."""
+    ds = load_catchments(io.StringIO(
+        f"gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr\ng1,{p},{pet},0,0\n"))
+    return ds.column("phi")[0]
+
+
 class TestAridityIndex:
     def test_unity(self):
         assert aridity_index(1000.0, 1000.0) == 1.0
@@ -45,8 +51,8 @@ class TestAridityIndex:
         assert aridity_index(1000.0, 0.0) == 0.0
 
     def test_nonpositive_precipitation(self):
-        with pytest.raises(InvalidArgumentError):
-            aridity_index(0.0, 100.0)
+        with pytest.raises(DataValidationError):
+            aridity_index(-5.0, 100.0)
 
 
 class TestFixedFormulas:
@@ -98,10 +104,7 @@ class TestFixedFormulas:
         v = eval_kan_fB(phi)
         assert np.all((v >= 0.05 - 1e-12) & (v <= eval_kan_fB(0.0)))
         assert np.all(eval_FB(phi) >= 47.13)
-
-    def test_fd_clamp_flag(self):
-        assert eval_FD(5.0) < 0.0
-        assert eval_FD(5.0, clamp_negative=True) == 0.0
+        assert eval_FD(3.9) > 0.0 > eval_FD(4.0)  # no floor at zero
 
 
 class TestFitParametric:
@@ -276,6 +279,13 @@ class TestLoadCatchments:
     def test_missing_file(self):
         with pytest.raises(CsvParseError):
             load_catchments("/nonexistent/file.csv")
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(GOOD_CSV.replace("01030500", "g\xff")
+                         .encode("latin-1"))
+        with pytest.raises(CsvParseError, match="latin1.csv: not UTF-8"):
+            load_catchments(path)
 
     def test_crlf_accepted(self):
         ds = load_catchments(io.StringIO(GOOD_CSV.replace("\n", "\r\n")))

@@ -14,17 +14,13 @@ from kanhydro.errors import (
 )
 from kanhydro.kan import (
     SymbolicLock,
-    activation_eval,
     adapt_grids,
-    batch_rmse_loss,
     extract_formula,
-    forward,
     forward_batch,
-    gradient,
     init_network,
+    loss_and_gradient,
     prune,
     refine_affine,
-    regularized_loss,
     snap_edge,
     zero_lock,
 )
@@ -34,6 +30,17 @@ from kanhydro.symbolic import candidate_by_name, eval_expression
 def lock_edge(net, layer, j, i, name, a, b, c, d):
     net.layers[layer].edges[j][i].lock = SymbolicLock(
         candidate_by_name(name), a, b, c, d)
+
+
+def loss(net, xs, ys, lam=0.0):
+    return loss_and_gradient(net, xs, ys, lam)[0]
+
+
+def edge_value(edge, x):
+    """The activation of a lone edge at x: a [1,1] network's output."""
+    net = init_network([1, 1], 3, seed=0)
+    net.layers[0].edges[0][0] = edge
+    return forward_batch(net, [x])[0, 0]
 
 
 def identity_locked(shape):
@@ -70,45 +77,48 @@ class TestActivationEval:
     def test_silu_at_zero(self):
         edge = init_network([1, 1], 3, seed=0).layers[0].edges[0][0]
         edge.w_b, edge.w_c = 1.0, 0.0
-        assert activation_eval(edge, 0.0) == pytest.approx(0.0)
+        assert edge_value(edge, 0.0) == pytest.approx(0.0)
 
     def test_partition_of_unity_spline(self):
         edge = init_network([1, 1], 5, seed=0).layers[0].edges[0][0]
         edge.w_b, edge.w_c = 0.0, 1.0
         edge.coeffs = bspline.SplineCoeffs(np.ones(edge.grid.num_basis))
-        assert activation_eval(edge, 0.4) == pytest.approx(1.0)
+        assert edge_value(edge, 0.4) == pytest.approx(1.0)
 
     def test_locked_tanh_at_root(self):
         edge = init_network([1, 1], 3, seed=0).layers[0].edges[0][0]
         edge.lock = SymbolicLock(candidate_by_name("tanh"),
                                  1.42, -0.82, -0.34, 0.39)
-        assert activation_eval(edge, 0.57746) == pytest.approx(0.39, abs=1e-4)
+        assert edge_value(edge, 0.57746) == pytest.approx(0.39, abs=1e-4)
 
 
 class TestForward:
     def test_single_edge_equals_activation(self):
+        # w_b * silu(x) + w_c * spline(x), computed outside the network
         net = init_network([1, 1], 5, seed=3)
         edge = net.layers[0].edges[0][0]
-        rng = np.random.default_rng(0)
-        for x in rng.uniform(-3, 3, 1000):
-            assert forward(net, [x])[0] == pytest.approx(
-                activation_eval(edge, x), rel=1e-12, abs=1e-12)
+        edge.w_b, edge.w_c = 0.7, 1.3
+        xs = np.random.default_rng(0).uniform(-3, 3, 1000)
+        expect = (edge.w_b * xs / (1.0 + np.exp(-xs)) + edge.w_c
+                  * bspline.spline_eval(edge.grid, edge.coeffs, xs))
+        assert forward_batch(net, xs)[:, 0] == pytest.approx(
+            expect, rel=1e-12, abs=1e-12)
 
     def test_all_zero_locked(self):
         net = init_network([2, 3, 1], 3, seed=0)
         for l, j, i, e in net.iter_edges():
             e.lock = zero_lock()
-        assert forward(net, [1.0, 2.0]) == pytest.approx([0.0])
+        assert forward_batch(net, [[1.0, 2.0]])[0, 0] == pytest.approx(0.0)
 
     def test_identity_locked_doubles(self):
         net = identity_locked([1, 2, 1])
-        for x in (-1.0, 0.5, 2.0):
-            assert forward(net, [x])[0] == pytest.approx(2 * x)
+        xs = np.array([-1.0, 0.5, 2.0])
+        assert forward_batch(net, xs)[:, 0] == pytest.approx(2 * xs)
 
     def test_dim_mismatch(self):
         net = init_network([2, 1], 3, seed=0)
         with pytest.raises(DimMismatchError):
-            forward(net, [1.0])
+            forward_batch(net, [[1.0]])
 
     def test_batch_of_one_dimensional_input(self):
         # a 1-D xs is one input column, as in train and the losses
@@ -124,34 +134,33 @@ class TestLosses:
     def test_perfect_predictions(self):
         net = identity_locked([1, 1])
         xs = np.linspace(-1, 1, 10).reshape(-1, 1)
-        assert batch_rmse_loss(net, xs, xs[:, 0]) == pytest.approx(0.0)
+        assert loss(net, xs, xs[:, 0]) == pytest.approx(0.0)
 
     def test_unit_residuals(self):
         net = identity_locked([1, 1])
         xs = np.array([[1.0], [2.0]])
         ys = np.array([2.0, 1.0])  # residuals +1, -1
-        assert batch_rmse_loss(net, xs, ys) == pytest.approx(1.0)
+        assert loss(net, xs, ys) == pytest.approx(1.0)
 
     def test_hand_rmse(self):
         net = identity_locked([1, 1])
         xs = np.array([[0.0], [0.0], [0.0]])
         ys = np.array([-1.0, -2.0, -3.0])
-        assert batch_rmse_loss(net, xs, ys) == pytest.approx(np.sqrt(14 / 3))
+        assert loss(net, xs, ys) == pytest.approx(np.sqrt(14 / 3))
 
     def test_lambda_zero_equals_rmse(self):
         net = init_network([1, 2, 1], 5, seed=1)
         xs = np.linspace(-2, 2, 20).reshape(-1, 1)
         ys = np.sin(xs[:, 0])
-        assert regularized_loss(net, xs, ys, 0.0) == pytest.approx(
-            batch_rmse_loss(net, xs, ys))
+        rmse = np.sqrt(np.mean((forward_batch(net, xs)[:, 0] - ys) ** 2))
+        assert loss(net, xs, ys, 0.0) == pytest.approx(rmse, rel=1e-12)
 
     def test_single_edge_entropy_is_zero(self):
         net = init_network([1, 1], 5, seed=1)
         xs = np.linspace(-2, 2, 20).reshape(-1, 1)
         ys = np.zeros(20)
         lam = 0.1
-        penalty = regularized_loss(net, xs, ys, lam) - batch_rmse_loss(
-            net, xs, ys)
+        penalty = loss(net, xs, ys, lam) - loss(net, xs, ys)
         imp = kan.edge_importances(net, xs)
         assert penalty == pytest.approx(lam * imp.sum())
 
@@ -171,18 +180,18 @@ class TestLosses:
 
     def test_overflowing_loss_is_inf_without_warnings(self):
         # a locked edge far outside its useful range: the squared residual
-        # overflows; both losses report inf and numpy stays silent
+        # overflows; the loss is inf, the gradient NaN, and numpy stays silent
         net = init_network([1, 1], 3, seed=0)
         lock_edge(net, 0, 0, 0, "exp", 1.0, 0.0, 1.0, 0.0)
         xs = np.array([[1.0], [460.0]])
         ys = np.zeros(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert batch_rmse_loss(net, xs, ys) == np.inf
-            loss, _ = kan.loss_and_gradient(net, xs, ys, 0.0)
-            assert loss == np.inf
+            value, grad = loss_and_gradient(net, xs, ys, 0.0)
+            assert value == np.inf and np.all(np.isnan(grad))
+            assert loss(net, xs, ys, 1e-3) == np.inf
             refined = refine_affine(net, xs[:1], ys[:1])
-        assert np.isfinite(batch_rmse_loss(refined, xs[:1], ys[:1]))
+        assert np.isfinite(loss(refined, xs[:1], ys[:1]))
 
 
 class TestGradient:
@@ -194,10 +203,10 @@ class TestGradient:
         cached = kan.layer0_inputs(net, xs)
         for _ in range(2):
             # the cache stays valid while training moves the parameters
-            loss, grad = kan.loss_and_gradient(net, xs, ys, 1e-3)
-            loss_c, grad_c = kan.loss_and_gradient(net, xs, ys, 1e-3,
-                                                   _layer0=cached)
-            assert loss_c == loss
+            value, grad = loss_and_gradient(net, xs, ys, 1e-3)
+            value_c, grad_c = loss_and_gradient(net, xs, ys, 1e-3,
+                                                _layer0=cached)
+            assert value_c == value
             assert np.array_equal(grad_c, grad)
             net.set_params(net.get_params() + rng.normal(0.0, 0.05,
                                                          net.num_params))
@@ -209,7 +218,7 @@ class TestGradient:
         xs = rng.uniform(-2, 2, (32, shape[0]))
         ys = rng.uniform(-1, 1, 32)
         lam = 1e-3
-        analytic = gradient(net, xs, ys, lam)
+        analytic = loss_and_gradient(net, xs, ys, lam)[1]
         p0 = net.get_params()
         h = 1e-5
         for idx in rng.choice(p0.size, size=min(12, p0.size), replace=False):
@@ -218,9 +227,9 @@ class TestGradient:
             pp[idx] += h
             pm[idx] -= h
             probe.set_params(pp)
-            fp = regularized_loss(probe, xs, ys, lam)
+            fp = loss(probe, xs, ys, lam)
             probe.set_params(pm)
-            fm = regularized_loss(probe, xs, ys, lam)
+            fm = loss(probe, xs, ys, lam)
             fd = (fp - fm) / (2 * h)
             scale = max(1e-8, abs(fd))
             assert abs(analytic[idx] - fd) / scale < 1e-5
@@ -230,11 +239,11 @@ class TestGradient:
         net = init_network([1, 2, 1], 4, seed=2)
         xs = rng.uniform(-2, 2, (16, 1))
         ys = rng.uniform(-1, 1, 16)
-        g0 = gradient(net, xs, ys, 0.0)
-        g1 = gradient(net, xs, ys, 1e-2)
+        g0 = loss_and_gradient(net, xs, ys, 0.0)[1]
+        g1 = loss_and_gradient(net, xs, ys, 1e-2)[1]
         assert not np.allclose(g0, g1)
         # the difference is linear in lambda
-        g2 = gradient(net, xs, ys, 2e-2)
+        g2 = loss_and_gradient(net, xs, ys, 2e-2)[1]
         assert g2 - g1 == pytest.approx(g1 - g0, rel=1e-9, abs=1e-12)
 
 
@@ -249,7 +258,7 @@ class TestPrune:
         net = init_network([1, 2, 1], 5, seed=4)
         xs = np.linspace(-2, 2, 20).reshape(-1, 1)
         pruned = prune(net, 1e9, xs)
-        assert forward(pruned, [1.0]) == pytest.approx([0.0])
+        assert forward_batch(pruned, [1.0])[0, 0] == pytest.approx(0.0)
 
     def test_weak_path_removed(self):
         net = init_network([1, 2, 1], 5, seed=6)
@@ -262,7 +271,7 @@ class TestPrune:
         imps = kan.edge_importances(net, xs)
         threshold = np.sort(imps)[len(imps) // 2]  # between the two paths
         before = forward_batch(net, xs)
-        pruned = prune(net, threshold, xs)
+        pruned = prune(net, threshold / imps.max(), xs)
         assert pruned.layers[0].edges[1][0].lock is not None
         assert pruned.layers[1].edges[0][1].lock is not None
         assert pruned.layers[0].edges[0][0].lock is None
@@ -332,7 +341,7 @@ class TestRefine:
         before = net.get_params()
         refined = refine_affine(net, xs, ys)
         assert refined.get_params() == pytest.approx(before, abs=1e-5)
-        assert batch_rmse_loss(refined, xs, ys) <= 1e-10
+        assert loss(refined, xs, ys) <= 1e-10
 
     def test_perturbed_scale_recovers(self):
         xs = np.linspace(0.2, 5, 100).reshape(-1, 1)
@@ -340,7 +349,7 @@ class TestRefine:
         net = init_network([1, 1], 3, seed=0)
         lock_edge(net, 0, 0, 0, "tanh", 1.42, -0.82, -0.34 * 1.05, 0.39)
         refined = refine_affine(net, xs, ys)
-        assert batch_rmse_loss(refined, xs, ys) < 1e-6
+        assert loss(refined, xs, ys) < 1e-6
 
     def test_requires_locked_edge(self):
         net = init_network([1, 1], 3, seed=0)
@@ -420,8 +429,8 @@ class TestTraining:
         xs = np.sort(rng.uniform(0.2, 5.0, 80)).reshape(-1, 1)
         ys = 0.39 - 0.34 * np.tanh(1.42 * xs[:, 0] - 0.82)
         net = adapt_grids(init_network([1, 1], 5, seed=0), xs)
-        before = regularized_loss(net, xs, ys, 1e-3)
+        before = loss(net, xs, ys, 1e-3)
         trained = kan.train(net, xs, ys, 1e-3)
-        after = regularized_loss(trained, xs, ys, 1e-3)
+        after = loss(trained, xs, ys, 1e-3)
         assert after < before
-        assert batch_rmse_loss(trained, xs, ys) < 0.01
+        assert loss(trained, xs, ys) < 0.01

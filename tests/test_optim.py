@@ -14,6 +14,10 @@ from kanhydro.errors import (
 )
 
 
+def dtanh(u):
+    return 1.0 - np.tanh(u) ** 2
+
+
 class TestBfgs:
     def test_quadratic_converges_fast(self):
         target = np.array([1.0, -2.0, 3.0])
@@ -100,22 +104,23 @@ class TestBfgs:
 
     def test_bad_options(self):
         with pytest.raises(InvalidArgumentError):
-            optim.OptimOptions(wolfe_c1=0.9, wolfe_c2=0.1)
+            optim.OptimOptions(grad_tol=0.0)
+        with pytest.raises(InvalidArgumentError):
+            optim.OptimOptions(f_rel_tol=-1e-12)
 
 
 class TestFitAffineWrap:
     def test_exact_tanh_recovery(self):
         xs = np.linspace(-2.0, 2.0, 200)
         ys = 2.0 * np.tanh(3.0 * xs - 1.0) + 0.5
-        a, b, c, d, r2 = optim.fit_affine_wrap(np.tanh, xs, ys,
-                                               deriv=lambda u: 1 - np.tanh(u)**2)
+        a, b, c, d, r2 = optim.fit_affine_wrap(np.tanh, xs, ys, deriv=dtanh)
         assert (a, b, c, d) == pytest.approx((3.0, -1.0, 2.0, 0.5), abs=1e-4)
         assert r2 >= 1.0 - 1e-9
 
     def test_constant_target(self):
         xs = np.linspace(-2.0, 2.0, 50)
         ys = np.full(50, 1.5)
-        a, b, c, d, r2 = optim.fit_affine_wrap(np.tanh, xs, ys)
+        a, b, c, d, r2 = optim.fit_affine_wrap(np.tanh, xs, ys, deriv=dtanh)
         fit = c * np.tanh(a * xs + b) + d
         assert np.max(np.abs(fit - 1.5)) < 1e-6
         assert r2 == 1.0  # exact fit of a zero-variance target
@@ -124,7 +129,7 @@ class TestFitAffineWrap:
         xs = np.linspace(100.0, 200.0, 50)  # a*x + b <= 0 unreachable? no:
         # use a domain predicate that always fails instead
         with pytest.raises(NoValidCandidateError):
-            optim.fit_affine_wrap(np.log, xs, xs,
+            optim.fit_affine_wrap(np.log, xs, xs, deriv=np.reciprocal,
                                   domain=lambda u: np.zeros_like(u, dtype=bool))
 
     def test_r2_deterministic(self):
@@ -137,11 +142,13 @@ class TestFitAffineWrap:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            optim.fit_affine_wrap(np.tanh, np.zeros(5), np.zeros(6))
+            optim.fit_affine_wrap(np.tanh, np.zeros(5), np.zeros(6),
+                                  deriv=dtanh)
 
     def test_too_few_samples(self):
         with pytest.raises(InvalidArgumentError):
-            optim.fit_affine_wrap(np.tanh, np.zeros(3), np.zeros(3))
+            optim.fit_affine_wrap(np.tanh, np.zeros(3), np.zeros(3),
+                                  deriv=dtanh)
 
     def test_coarse_pass_skips_overflowed_grid_points(self):
         # exp of large a*x + b overflows the coarse sums at some grid points

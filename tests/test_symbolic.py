@@ -176,7 +176,7 @@ class TestRankCandidates:
                     deriv=cand.deriv))
             except NoValidCandidateError:
                 continue
-        top = rank_candidates(xs, ys, None, search)
+        top = rank_candidates(xs, ys, search)
         assert top.best == full["tanh"]
         assert {row[0] for row in top.ranked} == set(full)
         same = [row for row in top.ranked if row == full[row[0]]]
