@@ -76,7 +76,12 @@ def _cmd_fit(args) -> int:
 def _model_callable(spec: str):
     if spec.startswith("checkpoint:"):
         path = spec.split(":", 1)[1]
-        net = kan.KanNetwork.from_json(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataValidationError(
+                f"{path}: not UTF-8 text ({exc})") from exc
+        net = kan.KanNetwork.from_json(text)
         tree = kan.extract_formula(net)
         return (lambda phi: symbolic.eval_expression(
             tree, np.atleast_1d(np.asarray(phi, float)).reshape(-1, 1))), None
@@ -131,16 +136,19 @@ def _cmd_synth(args) -> int:
 
 
 def _read_columns(path, names):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            got = sum(v is not None for v in row.values())
-            if got < len(reader.fieldnames):  # DictReader pads with None
-                raise CsvParseError(f"{path}:{reader.line_num}: expected "
-                                    f"{len(reader.fieldnames)} fields, "
-                                    f"got {got}")
-            rows.append(row)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = []
+            for row in reader:
+                got = sum(v is not None for v in row.values())
+                if got < len(reader.fieldnames):  # DictReader pads with None
+                    raise CsvParseError(f"{path}:{reader.line_num}: expected "
+                                        f"{len(reader.fieldnames)} fields, "
+                                        f"got {got}")
+                rows.append(row)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CsvParseError(f"{path}: unreadable CSV text ({exc})") from exc
     cols = []
     for name in names:
         if not rows or name not in rows[0]:

@@ -64,12 +64,6 @@ class CatchmentDataset:
             return DERIVED_COLUMNS[name](self)
         raise InvalidArgumentError(f"unknown column {name!r}")
 
-    def subset(self, indices) -> "CatchmentDataset":
-        idx = np.fromiter(indices, dtype=np.intp)
-        return CatchmentDataset([self.gauge_ids[i] for i in idx.tolist()],
-                                self.p[idx], self.pet[idx], self.qb[idx],
-                                self.qd[idx], self.provenance)
-
 
 def _check_phi(phi):
     phi = np.asarray(phi, dtype=float)
@@ -269,39 +263,43 @@ def load_catchments(path, strict: bool = True) -> CatchmentDataset:
 
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvParseError(f"{name}: empty file")
-    header = [h.strip() for h in header]
-    missing = [c for c in REQUIRED_COLUMNS if c not in header]
-    if missing:
-        raise CsvParseError(f"{name}: missing required columns {missing}")
-    extra = [c for c in header if c not in REQUIRED_COLUMNS]
-    warnings = [f"ignoring extra columns {extra}"] if extra else []
-    gi, *numeric = (header.index(c) for c in REQUIRED_COLUMNS)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvParseError(f"{name}: empty file")
+        header = [h.strip() for h in header]
+        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        if missing:
+            raise CsvParseError(f"{name}: missing required columns {missing}")
+        extra = [c for c in header if c not in REQUIRED_COLUMNS]
+        warnings = [f"ignoring extra columns {extra}"] if extra else []
+        gi, *numeric = (header.index(c) for c in REQUIRED_COLUMNS)
 
-    # the fields stream into one list per column; the checks run on whole
-    # columns, and messages are built for failing lines only
-    ids, lines, fields = [], [], ([], [], [], [])
-    p_s, pet_s, qb_s, qd_s = fields
-    pi, peti, qbi, qdi = numeric
-    fault = None  # a short row, which ends the scan
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) < len(header):
-            if "".join(row).strip():
-                fault = CsvParseError(f"{name}:{line_no}: expected "
-                                      f"{len(header)} fields, got {len(row)}")
-                break
-            continue  # blank
-        gauge = row[gi].strip()
-        if not gauge and not "".join(row).strip():
-            continue  # blank
-        ids.append(gauge)
-        lines.append(line_no)
-        p_s.append(row[pi])
-        pet_s.append(row[peti])
-        qb_s.append(row[qbi])
-        qd_s.append(row[qdi])
+        # the fields stream into one list per column; the checks run on whole
+        # columns, and messages are built for failing lines only
+        ids, lines, fields = [], [], ([], [], [], [])
+        p_s, pet_s, qb_s, qd_s = fields
+        pi, peti, qbi, qdi = numeric
+        fault = None  # a short row, which ends the scan
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) < len(header):
+                if "".join(row).strip():
+                    fault = CsvParseError(
+                        f"{name}:{line_no}: expected {len(header)} fields, "
+                        f"got {len(row)}")
+                    break
+                continue  # blank
+            gauge = row[gi].strip()
+            if not gauge and not "".join(row).strip():
+                continue  # blank
+            ids.append(gauge)
+            lines.append(line_no)
+            p_s.append(row[pi])
+            pet_s.append(row[peti])
+            qb_s.append(row[qbi])
+            qd_s.append(row[qdi])
+    except csv.Error as exc:  # e.g. lone-CR line ends, an oversized field
+        raise CsvParseError(f"{name}:{reader.line_num}: {exc}") from exc
     try:
         cols = np.array(fields, dtype=float)
     except ValueError:  # it parses like float(), so float() finds the row

@@ -25,13 +25,22 @@ from .optim import (
 
 @dataclass(frozen=True)
 class CandidateFunction:
-    """A unary primitive with its derivative, domain, and tie-break rank."""
+    """A unary primitive: one row of the candidate library.
+
+    `form` is the printed text, with `{}` for the argument; the parser reads
+    the same forms back. An `even` primitive has f(-u) = f(u), so fold can
+    normalize the sign of its affine wrap. `role` is "identity" or "zero" for
+    the linear primitives that fold simplifies away, and "" otherwise.
+    """
 
     name: str
     fn: callable
     deriv: callable
     domain: callable
     complexity: int
+    form: str
+    even: bool
+    role: str
 
     def __repr__(self):
         return f"CandidateFunction({self.name!r})"
@@ -93,50 +102,67 @@ def _sigmoid(u):
 
 # Complexity scores are the deterministic tie-break when two candidates reach
 # the same R^2 (identity cheapest, inverse-domain functions most expensive).
+# A row holds every fact about its primitive, as in pykan's symbolic library
+# (Liu et al. 2024, arXiv 2404.19756): adding a candidate is adding a row.
 _LIBRARY = [
-    CandidateFunction("x", lambda u: u + 0.0, lambda u: np.ones_like(u), _all, 1),
-    CandidateFunction("x^2", lambda u: u ** 2, lambda u: 2.0 * u, _all, 2),
-    CandidateFunction("x^3", _cube, lambda u: 3.0 * (u * u), _all, 2),
-    CandidateFunction("x^4", _quartic, lambda u: 4.0 * _cube(u), _all, 2),
+    # name, fn, deriv, domain, complexity, printed form, even, role
+    CandidateFunction("x", lambda u: u + 0.0, lambda u: np.ones_like(u), _all,
+                      1, "{}", False, "identity"),
+    CandidateFunction("x^2", lambda u: u ** 2, lambda u: 2.0 * u, _all, 2,
+                      "{}^2", True, ""),
+    CandidateFunction("x^3", _cube, lambda u: 3.0 * (u * u), _all, 2, "{}^3",
+                      False, ""),
+    CandidateFunction("x^4", _quartic, lambda u: 4.0 * _cube(u), _all, 2,
+                      "{}^4", True, ""),
     CandidateFunction("1/x", lambda u: 1.0 / u, lambda u: -_inv2(u),
-                      _nonzero, 2),
-    CandidateFunction("1/x^2", _inv2, lambda u: -2.0 * _inv3(u), _nonzero, 3),
-    CandidateFunction("1/x^3", _inv3, lambda u: -3.0 * _inv4(u), _nonzero, 3),
-    CandidateFunction("1/x^4", _inv4, lambda u: -4.0 * _inv5(u), _nonzero, 3),
+                      _nonzero, 2, "1/{}", False, ""),
+    CandidateFunction("1/x^2", _inv2, lambda u: -2.0 * _inv3(u), _nonzero, 3,
+                      "1/{}^2", True, ""),
+    CandidateFunction("1/x^3", _inv3, lambda u: -3.0 * _inv4(u), _nonzero, 3,
+                      "1/{}^3", False, ""),
+    CandidateFunction("1/x^4", _inv4, lambda u: -4.0 * _inv5(u), _nonzero, 3,
+                      "1/{}^4", True, ""),
     CandidateFunction("sqrt", np.sqrt, lambda u: 0.5 / np.sqrt(u),
-                      lambda u: np.asarray(u) >= 0.0, 2),
+                      lambda u: np.asarray(u) >= 0.0, 2, "sqrt({})", False, ""),
     CandidateFunction("1/sqrt", lambda u: 1.0 / np.sqrt(u),
                       lambda u: -0.5 * _inv_sqrt3(u),
-                      lambda u: np.asarray(u) > 0.0, 3),
-    CandidateFunction("exp", np.exp, np.exp, _all, 3),
+                      lambda u: np.asarray(u) > 0.0, 3, "1/sqrt({})", False,
+                      ""),
+    CandidateFunction("exp", np.exp, np.exp, _all, 3, "exp({})", False, ""),
     CandidateFunction("log", np.log, lambda u: 1.0 / u,
-                      lambda u: np.asarray(u) > 0.0, 3),
-    CandidateFunction("abs", np.abs, np.sign, _all, 3),
-    CandidateFunction("sin", np.sin, np.cos, _all, 4),
-    CandidateFunction("tan", np.tan, lambda u: _inv2(np.cos(u)), _all, 4),
-    CandidateFunction("tanh", np.tanh, lambda u: 1.0 - np.tanh(u) ** 2, _all, 4),
+                      lambda u: np.asarray(u) > 0.0, 3, "log({})", False, ""),
+    CandidateFunction("abs", np.abs, np.sign, _all, 3, "abs({})", True, ""),
+    CandidateFunction("sin", np.sin, np.cos, _all, 4, "sin({})", False, ""),
+    CandidateFunction("tan", np.tan, lambda u: _inv2(np.cos(u)), _all, 4,
+                      "tan({})", False, ""),
+    CandidateFunction("tanh", np.tanh, lambda u: 1.0 - np.tanh(u) ** 2, _all,
+                      4, "tanh({})", False, ""),
     # sigmoid spans the same affine family as tanh; the higher complexity
     # makes tanh the preferred representative when the two fits tie
     CandidateFunction("sigmoid", _sigmoid,
-                      lambda u: _sigmoid(u) * (1.0 - _sigmoid(u)), _all, 5),
-    CandidateFunction("sign", np.sign, lambda u: np.zeros_like(u), _all, 5),
+                      lambda u: _sigmoid(u) * (1.0 - _sigmoid(u)), _all, 5,
+                      "sigmoid({})", False, ""),
+    CandidateFunction("sign", np.sign, lambda u: np.zeros_like(u), _all, 5,
+                      "sign({})", False, ""),
     CandidateFunction("arcsin", np.arcsin,
                       lambda u: 1.0 / np.sqrt(1.0 - u ** 2),
-                      lambda u: np.abs(u) <= 1.0, 5),
+                      lambda u: np.abs(u) <= 1.0, 5, "arcsin({})", False, ""),
     CandidateFunction("arctan", np.arctan, lambda u: 1.0 / (1.0 + u ** 2),
-                      _all, 4),
+                      _all, 4, "arctan({})", False, ""),
     CandidateFunction("arctanh", np.arctanh, lambda u: 1.0 / (1.0 - u ** 2),
-                      lambda u: np.abs(u) < 1.0, 5),
+                      lambda u: np.abs(u) < 1.0, 5, "arctanh({})", False, ""),
     CandidateFunction("0", lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                       lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                      _all, 0),
+                      _all, 0, "0", True, "zero"),
     CandidateFunction("gaussian", lambda u: np.exp(-u ** 2),
-                      lambda u: -2.0 * u * np.exp(-u ** 2), _all, 4),
-    CandidateFunction("cosh", np.cosh, np.sinh, _all, 4),
+                      lambda u: -2.0 * u * np.exp(-u ** 2), _all, 4,
+                      "gaussian({})", True, ""),
+    CandidateFunction("cosh", np.cosh, np.sinh, _all, 4, "cosh({})", True, ""),
 ]
-
-# Even primitives: f(-u) = f(u), used to normalize the sign of affine wraps.
-EVEN_CANDIDATES = {"x^2", "x^4", "1/x^2", "1/x^4", "abs", "gaussian", "cosh"}
+_BY_NAME = {c.name: c for c in _LIBRARY}
+_BY_FORM = {c.form: c for c in _LIBRARY}
+_IDENTITY = next(c for c in _LIBRARY if c.role == "identity")
+_ZERO = next(c for c in _LIBRARY if c.role == "zero")
 
 
 def candidate_library() -> list[CandidateFunction]:
@@ -145,10 +171,11 @@ def candidate_library() -> list[CandidateFunction]:
 
 
 def candidate_by_name(name: str) -> CandidateFunction:
-    for cand in _LIBRARY:
-        if cand.name == name:
-            return cand
-    raise InvalidArgumentError(f"unknown candidate function {name!r}")
+    try:
+        return _BY_NAME[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise InvalidArgumentError(
+            f"unknown candidate function {name!r}") from None
 
 
 @dataclass
@@ -184,9 +211,8 @@ def rank_candidates(xs, ys,
 
     if float(np.var(ys)) < ZERO_VARIANCE_TOL:
         # constant target: the zero candidate with offset d wins by convention
-        return SnapResult([("0", 1.0, 0.0, 0.0, float(ys.mean()), 1.0)])
+        return SnapResult([(_ZERO.name, 1.0, 0.0, 0.0, float(ys.mean()), 1.0)])
 
-    complexity = {c.name: c.complexity for c in _LIBRARY}
     coarse = CoarseGrid.over(xs, ys, search)  # the same for every candidate
     starts = []
     for cand in _LIBRARY:
@@ -208,16 +234,14 @@ def rank_candidates(xs, ys,
             (a, b, c, d), r2 = p0, fit_r2(sse0, ys)
         if not np.isfinite(r2):
             r2 = -np.inf
-        rows.append((cand.name, float(a), float(b), float(c), float(d), r2))
+        rows.append((-round(r2, 10), cand.complexity,
+                     (cand.name, float(a), float(b), float(c), float(d), r2)))
     if not rows:
         raise NoValidCandidateError("every candidate infeasible on these inputs")
     # R^2 values are quantized for sorting so fits that agree to optimizer
     # precision (e.g. sigmoid vs tanh, which span the same affine family)
-    # fall through to the complexity tie-break
-    rows.sort(key=lambda row: (-round(row[5], 10) if np.isfinite(row[5])
-                               else np.inf,
-                               complexity[row[0]], row[0]))
-    return SnapResult(rows)
+    # fall through to the complexity tie-break, then to the name
+    return SnapResult([row for *_, row in sorted(rows)])
 
 
 # --------------------------------------------------------------------------
@@ -260,9 +284,8 @@ def _first_var(node) -> int:
     if isinstance(node, Unary):
         return _first_var(node.child)
     if isinstance(node, Sum):
-        hits = [_first_var(t) for t in node.terms]
-        hits = [h for h in hits if h >= 0]
-        return min(hits) if hits else -1
+        hits = [h for h in map(_first_var, node.terms) if h >= 0]
+        return min(hits, default=-1)
     return -1
 
 
@@ -280,17 +303,17 @@ def fold(node) -> Node:
         return node
     if isinstance(node, Unary):
         child = fold(node.child)
-        name, a, b, c, d = node.name, node.a, node.b, node.c, node.d
-        if name == "0" or c == 0.0:
+        cand = candidate_by_name(node.name)
+        a, b, c, d = node.a, node.b, node.c, node.d
+        if cand is _ZERO or c == 0.0:
             return Const(d)
-        if name in EVEN_CANDIDATES and a < 0.0:
+        if cand.even and a < 0.0:
             a, b = -a, -b
         if isinstance(child, Const):
-            cand = candidate_by_name(name)
             u = a * child.value + b
             if np.all(cand.domain(np.asarray(u))):
                 return Const(float(c * cand.fn(u) + d))
-        if name == "x":
+        if cand is _IDENTITY:
             coef = c * a
             off = c * b + d
             if coef == 1.0 and off == 0.0:
@@ -300,8 +323,8 @@ def fold(node) -> Node:
                 return fold(Unary(child.name, child.a, child.b,
                                   coef * child.c, coef * child.d + off,
                                   child.child))
-            return _split_offset(Unary("x", 1.0, 0.0, coef, off, child))
-        return _split_offset(Unary(name, a, b, c, d, child))
+            return _split_offset(Unary(cand.name, 1.0, 0.0, coef, off, child))
+        return _split_offset(Unary(cand.name, a, b, c, d, child))
     if isinstance(node, Sum):
         const_total = 0.0
         terms = []
@@ -316,44 +339,22 @@ def fold(node) -> Node:
                 const_total += t.d
                 if t.c != 0.0:
                     terms.append(Unary(t.name, t.a, t.b, t.c, 0.0, t.child))
-            else:
-                terms.append(t)
+            else:  # a variable, as its own identity so that like terms merge
+                terms.append(Unary(_IDENTITY.name, 1.0, 0.0, 1.0, 0.0, t))
         # merge terms identical up to their leading coefficient
         merged: list = []
         for t in terms:
-            hit = False
             for k, m in enumerate(merged):
-                if (isinstance(t, Unary) and isinstance(m, Unary)
-                        and t.name == m.name and t.a == m.a and t.b == m.b
+                if (t.name == m.name and t.a == m.a and t.b == m.b
                         and t.child == m.child):
                     merged[k] = Unary(m.name, m.a, m.b, m.c + t.c, 0.0, m.child)
-                    hit = True
                     break
-                if isinstance(t, Var) and m == t:
-                    merged[k] = Unary("x", 1.0, 0.0, 2.0, 0.0, t)
-                    hit = True
-                    break
-                if (isinstance(t, Var) and isinstance(m, Unary)
-                        and m.name == "x" and m.a == 1.0 and m.b == 0.0
-                        and m.child == t):
-                    merged[k] = Unary("x", 1.0, 0.0, m.c + 1.0, 0.0, t)
-                    hit = True
-                    break
-            if not hit:
+            else:
                 merged.append(t)
-        merged = [fold(t) for t in merged if not
-                  (isinstance(t, Unary) and t.c == 0.0)]
-        if not merged:
-            return Const(const_total)
-        if const_total == 0.0 and len(merged) == 1:
-            return merged[0]
-        out = []
-        if const_total != 0.0:
-            out.append(Const(const_total))
-        out.extend(sorted(merged, key=lambda t: (_first_var(t), _render(t, 12))))
-        if len(out) == 1:
-            return out[0]
-        return Sum(tuple(out))
+        merged = [fold(t) for t in merged if t.c != 0.0]
+        out = [Const(const_total)] if const_total != 0.0 or not merged else []
+        out += sorted(merged, key=lambda t: (_first_var(t), _render(t, 12)))
+        return out[0] if len(out) == 1 else Sum(tuple(out))
     raise InvalidArgumentError(f"unknown node type {type(node)!r}")
 
 
@@ -383,74 +384,54 @@ def _paren(text: str) -> str:
     return f"({text})" if _needs_paren(text) else text
 
 
+def _times(k: float, factor: str, precision: int) -> str:
+    """k*factor, as it rounds: 1*u prints as u, and k*1/u as k/u."""
+    s = _fmt(k, precision)
+    if s == "1":
+        return factor
+    if s == "-1":
+        return f"-{factor}"
+    if factor.startswith("1/"):
+        return s + factor[1:]
+    return f"{s}*{factor}"
+
+
 def _render_affine(a: float, b: float, child_str: str, precision: int) -> str:
     """Render a*child + b."""
     if a == 0.0:
         return _fmt(b, precision)
-    if a == 1.0:
-        head = child_str
-    elif a == -1.0:
-        head = f"-{_paren(child_str)}"
-    else:
-        head = f"{_fmt(a, precision)}*{_paren(child_str)}"
+    head = (child_str if _fmt(a, precision) == "1"
+            else _times(a, _paren(child_str), precision))
     if b == 0.0 or _fmt(b, precision) == "0":
         return head
     sign = " + " if b > 0 else " - "
     return f"{head}{sign}{_fmt(abs(b), precision)}"
 
 
-def _render_body(name: str, inner: str) -> str:
-    if name == "x":
-        return inner
-    if name in ("x^2", "x^3", "x^4"):
-        return f"{_paren(inner)}^{name[-1]}"
-    if name == "1/x":
-        return f"1/{_paren(inner)}"
-    if name in ("1/x^2", "1/x^3", "1/x^4"):
-        return f"1/{_paren(inner)}^{name[-1]}"
-    if name == "1/sqrt":
-        return f"1/sqrt({inner})"
-    if name == "0":
-        return "0"
-    return f"{name}({inner})"
-
-
-def _var_name(index: int) -> str:
-    return "x" if index == 0 else f"x{index + 1}"
-
-
 def _render(node, precision: int) -> str:
+    """Render a folded tree: each Unary's offset d is a Sum's Const term."""
     if isinstance(node, Const):
         return _fmt(node.value, precision)
     if isinstance(node, Var):
-        return _var_name(node.index)
+        return "x" if node.index == 0 else f"x{node.index + 1}"
     if isinstance(node, Unary):
+        cand = candidate_by_name(node.name)
         child = _render(node.child, precision)
-        inner = _render_affine(node.a, node.b, child, precision)
-        body = _render_body(node.name, inner)
-        if node.name == "x":
+        if cand is _IDENTITY:
             # linear wrap: the affine rendering already carries a and b
-            body = _render_affine(node.c * node.a, node.c * node.b + node.d,
+            return _render_affine(node.c * node.a, node.c * node.b + node.d,
                                   child, precision)
-            return body
-        if node.c == 1.0:
-            term = body
-        elif node.c == -1.0:
-            term = f"-{body}"
-        else:
-            term = f"{_fmt(node.c, precision)}*{body}"
-        if node.d != 0.0 and _fmt(node.d, precision) != "0":
-            sign = " + " if node.d > 0 else " - "
-            term = f"{term}{sign}{_fmt(abs(node.d), precision)}"
-        return term
+        inner = _render_affine(node.a, node.b, child, precision)
+        # a form that does not bracket its argument gets brackets as needed
+        body = cand.form.format(inner if "({})" in cand.form
+                                else _paren(inner))
+        return _times(node.c, body, precision)
     if isinstance(node, Sum):
-        parts = [_render(t, precision) for t in node.terms]
+        parts = [p for p in (_render(t, precision) for t in node.terms)
+                 if p != "0"] or ["0"]
         out = parts[0]
         for p in parts[1:]:
-            if p.startswith("-"):
-                out += f" - {p[1:]}"
-            else:
-                out += f" + {p}"
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
     raise InvalidArgumentError(f"unknown node type {type(node)!r}")
 
@@ -563,7 +544,7 @@ class _Parser:
             op = self.take()
             t = self.term()
             if op == "-":
-                t = _negate(t)
+                t = _scale(t, -1.0)
             terms.append(t)
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
@@ -580,17 +561,13 @@ class _Parser:
         while self.peek() == "^":
             self.take()
             tok = self.take()
-            neg = False
-            if tok == "-":
-                neg = True
+            neg = tok == "-"
+            if neg:
                 tok = self.take()
             if not (isinstance(tok, tuple) and tok[0] == "num"):
                 raise ExpressionParseError("exponent must be a number")
-            power = int(tok[1])
-            if power not in (1, 2, 3, 4):
-                raise ExpressionParseError(f"unsupported exponent {power}")
-            if power > 1:
-                node = Unary(f"x^{power}", 1.0, 0.0, 1.0, 0.0, node)
+            if tok[1] != 1:  # all digits, so that 2.5 matches no form
+                node = _apply_form(f"{{}}^{tok[1]:.17g}", node)
             if neg:
                 node = _divide(Const(1.0), node)
         return node
@@ -598,7 +575,7 @@ class _Parser:
     def atom(self):
         tok = self.take()
         if tok == "-":
-            return _negate(self.factor())
+            return _scale(self.factor(), -1.0)
         if tok == "+":
             return self.factor()
         if tok == "(":
@@ -613,18 +590,13 @@ class _Parser:
                 self.take()
                 arg = self.expr()
                 self.expect(")")
-                candidate_by_name(name)  # raises for unknown functions
-                return Unary(name, 1.0, 0.0, 1.0, 0.0, arg)
+                return _apply_form(candidate_by_name(name).form, arg)
             if name == "x":
                 return Var(0)
             if name.startswith("x") and name[1:].isdigit():
                 return Var(int(name[1:]) - 1)
             raise ExpressionParseError(f"unknown token {name!r}")
         raise ExpressionParseError(f"unexpected token {tok!r}")
-
-
-def _negate(node):
-    return _scale(node, -1.0)
 
 
 def _scale(node, k: float):
@@ -635,7 +607,7 @@ def _scale(node, k: float):
                      node.child)
     if isinstance(node, Sum):
         return Sum(tuple(_scale(t, k) for t in node.terms))
-    return Unary("x", 1.0, 0.0, k, 0.0, node)
+    return Unary(_IDENTITY.name, 1.0, 0.0, k, 0.0, node)
 
 
 def _multiply(lhs, rhs):
@@ -652,8 +624,28 @@ def _divide(lhs, rhs):
         if rhs.value == 0.0:
             raise ExpressionParseError("division by the constant zero")
         return _scale(lhs, 1.0 / rhs.value)
-    recip = Unary("1/x", 1.0, 0.0, 1.0, 0.0, rhs)
-    return _multiply(lhs, recip)
+    return _multiply(lhs, _apply_form("1/{}", rhs))
+
+
+def _apply_form(form: str, arg) -> Unary:
+    """The candidate printed as `form` around arg, with an affine argument
+    a*u + b held as the node's (a, b). A bare f(u) whose form fits in `form`
+    makes one candidate of u: 1/{} around sqrt(u) is 1/sqrt(u)."""
+    if isinstance(arg, Unary) and arg.c == 1.0 and arg.d == 0.0:
+        inside = _BY_FORM.get(form.format(_BY_NAME[arg.name].form))
+        if inside is not None:
+            return Unary(inside.name, arg.a, arg.b, 1.0, 0.0, arg.child)
+    if form not in _BY_FORM:
+        raise ExpressionParseError(f"no candidate prints as {form!r}")
+    arg, a, b = fold(arg), 1.0, 0.0
+    if (isinstance(arg, Sum) and len(arg.terms) == 2
+            and isinstance(arg.terms[0], Const)):
+        b, arg = arg.terms[0].value, arg.terms[1]
+    if isinstance(arg, Unary):  # folded: d is 0, and an identity has a = 1
+        a = arg.c
+        arg = (arg.child if arg.name == _IDENTITY.name
+               else Unary(arg.name, arg.a, arg.b, 1.0, 0.0, arg.child))
+    return Unary(_BY_FORM[form].name, a, b, 1.0, 0.0, arg)
 
 
 def parse_expression(text: str):

@@ -123,6 +123,24 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert "checkpoint lacks 'edges'" in err
 
+    @pytest.mark.parametrize("name", ["sinh", 5])
+    def test_unknown_candidate(self, data_file, tmp_path, capsys, name):
+        net = kan.init_network([1, 1], grid_intervals=3, seed=0)
+        net.layers[0].edges[0][0].lock = kan.SymbolicLock(
+            symbolic.candidate_by_name("tanh"), 1.0, 0.0, 1.0, 0.0)
+        text = net.to_json().replace('"tanh"', json.dumps(name))
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(text)
+        assert self._evaluate(data_file, ckpt) == 1
+        err = capsys.readouterr().err
+        assert f"unknown candidate function {name!r}" in err
+
+    def test_non_utf8(self, data_file, tmp_path, capsys):
+        ckpt = tmp_path / "latin1.json"
+        ckpt.write_bytes(b'{"shape": "\xff"}')
+        assert self._evaluate(data_file, ckpt) == 1
+        assert f"{ckpt}: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestSynthAndMetrics:
     def test_synth_then_metrics(self, tmp_path, capsys):
@@ -150,6 +168,17 @@ class TestSynthAndMetrics:
                          "--obs-col", "phi", "--sim-col", "y"]) == 1
         assert (f"error: {data}:3: expected 2 fields, got 1"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", [
+        b"phi,y\n1,2\n\xff,3\n",
+        b'phi,y\n"' + b"9" * 200_000 + b'",3\n',  # beyond csv's field limit
+    ], ids=["non-utf8", "oversized-field"])
+    def test_metrics_unreadable_file(self, tmp_path, capsys, text):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(text)
+        assert cli.main(["metrics", "--data", str(data),
+                         "--obs-col", "phi", "--sim-col", "y"]) == 1
+        assert f"error: {data}: unreadable CSV text" in capsys.readouterr().err
 
     def test_synth_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

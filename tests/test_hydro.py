@@ -171,13 +171,6 @@ class TestLoadCatchments:
         with pytest.raises(InvalidArgumentError):
             ds.column("gauge_id")
 
-    def test_subset_indexes_every_column(self):
-        ds = load_catchments(io.StringIO(GOOD_CSV))
-        sub = ds.subset(np.array([2, 0]))
-        assert sub.gauge_ids == ["01031500", "01013500"]
-        for name in ("p", "qd", "phi", "q_over_p"):
-            assert np.array_equal(sub.column(name), ds.column(name)[[2, 0]])
-
     def test_zero_precipitation_rejected(self):
         text = ("gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr\n"
                 "g1,0,800,10,10\n")
@@ -285,6 +278,16 @@ class TestLoadCatchments:
         path.write_bytes(GOOD_CSV.replace("01030500", "g\xff")
                          .encode("latin-1"))
         with pytest.raises(CsvParseError, match="latin1.csv: not UTF-8"):
+            load_catchments(path)
+
+    @pytest.mark.parametrize("text", [
+        GOOD_CSV.replace("\n", "\r"),  # lone-CR line ends
+        GOOD_CSV.replace("01030500", '"' + "9" * 200_000 + '"'),
+    ], ids=["lone-cr", "oversized-field"])
+    def test_csv_error_names_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(CsvParseError, match="bad.csv:"):
             load_catchments(path)
 
     def test_crlf_accepted(self):

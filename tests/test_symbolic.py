@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kanhydro.errors import (
     DomainViolationError,
@@ -19,6 +21,7 @@ from kanhydro.symbolic import (
     candidate_by_name,
     candidate_library,
     eval_expression,
+    fold,
     parse_expression,
     print_expression,
     rank_candidates,
@@ -58,8 +61,27 @@ class TestLibrary:
         assert vals == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
 
     def test_unknown_candidate(self):
-        with pytest.raises(InvalidArgumentError):
-            candidate_by_name("sinh")
+        for name in ("sinh", 5, ["tanh"]):
+            with pytest.raises(InvalidArgumentError):
+                candidate_by_name(name)
+
+    def test_even_flag_matches_symmetry(self):
+        # an even row has fn(-u) == fn(u) wherever u is in its domain; every
+        # other row breaks that at some u (or has -u outside its domain)
+        mags = np.array([0.2, 0.35, 0.55, 0.8, 0.97, 1.1, 1.3, 2.3, 2.6])
+        u = np.concatenate([-mags, mags])
+        for cand in candidate_library():
+            u_in = u[cand.domain(u)]
+            both = u_in[cand.domain(-u_in)]
+            even = (both.size == u_in.size > 0
+                    and np.array_equal(cand.fn(-both), cand.fn(both)))
+            assert even == cand.even, cand.name
+
+    def test_forms_parse_back(self):
+        for cand in candidate_library():
+            text = cand.form.format("x")
+            assert fold(parse_expression(text)) == \
+                fold(Unary(cand.name, 1.0, 0.0, 1.0, 0.0, Var(0))), text
 
     def test_derivatives_match_central_differences(self):
         points = np.array([-2.3, -1.1, -0.55, -0.2, 0.35, 0.8, 1.3, 2.6])
@@ -262,6 +284,22 @@ class TestPrinting:
             assert eval_expression(back, xs) == pytest.approx(
                 eval_expression(tree, xs), abs=1e-8)
 
+    # constants on a 0.01 grid print exactly at precision 6, and so do the
+    # identity's folded products c*a and c*b + d
+    _grid = st.integers(-999, 999).map(lambda k: k / 100)
+    _nonzero = _grid.filter(lambda v: v != 0.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(candidate_library()), _nonzero, _grid, _nonzero,
+           _grid)
+    def test_print_parse_print(self, cand, a, b, c, d):
+        text = print_expression(Unary(cand.name, a, b, c, d, Var(0)))
+        assert print_expression(parse_expression(text)) == text
+
+    def test_reciprocal_prints_as_division(self):
+        tree = Unary("1/sqrt", 2.0, 1.0, 0.7, 0.0, Var(0))
+        assert print_expression(tree) == "0.7/sqrt(2*x + 1)"
+
 
 class TestEval:
     def test_constant(self):
@@ -297,6 +335,12 @@ class TestParsing:
     def test_power_notation(self):
         tree = parse_expression("2*x^2 + 1")
         assert eval_expression(tree, [3.0]) == pytest.approx(19.0)
+
+    def test_exponent_without_candidate_rejected(self):
+        assert parse_expression("x^2.0") == parse_expression("x^2")
+        for text in ("x^2.5", "x^1.5", "x^5"):
+            with pytest.raises(ExpressionParseError):
+                parse_expression(text)
 
     def test_unknown_function(self):
         with pytest.raises((ExpressionParseError, InvalidArgumentError)):
