@@ -24,7 +24,7 @@ from .errors import (
     KanHydroError,
     TooSmallDatasetError,
 )
-from .hydro import AridityModel, CatchmentDataset
+from .hydro import CatchmentDataset
 from .optim import AffineSearchGrid, OptimOptions
 
 TARGETS = ("qb_over_p", "qd_over_p", "qb", "qd")
@@ -212,7 +212,9 @@ def grid_search(config: GridSearchConfig, x_train, y_train, *,
                 threads: int = 1):
     """Exhaustive sweep; returns (best HyperPoint, score table).
 
-    A failed (point, fold) job scores -inf instead of aborting the sweep.
+    A (point, fold) job that fails with a package error, a floating-point
+    error or a singular linear system scores -inf instead of aborting the
+    sweep; any other exception propagates.
     Ties break in Cartesian order (shapes, then grid intervals, then seeds).
     """
     x_train = np.asarray(x_train, dtype=float).reshape(len(y_train), -1)
@@ -239,7 +241,7 @@ def grid_search(config: GridSearchConfig, x_train, y_train, *,
             if score is None or not np.isfinite(score):
                 return -np.inf, None
             return float(score), res.presnap_r2
-        except Exception:
+        except (KanHydroError, FloatingPointError, np.linalg.LinAlgError):
             return -np.inf, None
 
     if threads > 1:
@@ -330,22 +332,16 @@ def fit(ds: CatchmentDataset, target: str, config: GridSearchConfig, *,
 def emit_plot_data(models, ds, phi_spec, out_path) -> str:
     """Write model curves over a phi grid plus an observation scatter file.
 
-    `models` is a list of (name, callable) pairs or AridityModel instances;
-    phi_spec is (lo, hi, step). Returns the scatter companion path.
+    `models` is a list of (name, callable) pairs; phi_spec is
+    (lo, hi, step). Returns the scatter companion path.
     """
     lo, hi, step = phi_spec
     if not (lo < hi and step > 0):
         raise InvalidArgumentError("need lo < hi and step > 0")
     n = int(round((hi - lo) / step)) + 1
     phis = np.linspace(lo, hi, n)
-    named = []
-    for m in models:
-        if isinstance(m, AridityModel):
-            named.append((m.family, m))
-        else:
-            named.append(m)
-    curves = [np.asarray(fn(phis), dtype=float) for _, fn in named]
-    write_csv(out_path, ["phi"] + [name for name, _ in named],
+    curves = [np.asarray(fn(phis), dtype=float) for _, fn in models]
+    write_csv(out_path, ["phi"] + [name for name, _ in models],
               ",".join(["%.10g"] * (1 + len(curves))), [phis, *curves])
     scatter_path = str(out_path) + ".scatter.csv"
     columns = ["phi", "qb_over_p", "qd_over_p", "qb", "qd"]

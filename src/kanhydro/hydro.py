@@ -1,13 +1,14 @@
-"""Water-balance domain types, fixed aridity-index formulas, parametric
-refits, dataset ingestion, and a synthetic-data generator.
+"""Water-balance domain types, closed-form aridity-index model families
+(the published formulas are instances of them) and their refits, dataset
+ingestion, and a synthetic-data generator.
 
 Units are mm/yr throughout. The aridity index is phi = PET / P.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import (
     DataValidationError,
     InvalidArgumentError,
     LengthMismatchError,
+    NonFiniteObjectiveError,
     OptimizerFailureError,
 )
 from .optim import OptimOptions, bfgs_minimize
@@ -65,81 +67,8 @@ class CatchmentDataset:
         raise InvalidArgumentError(f"unknown column {name!r}")
 
 
-def _check_phi(phi):
-    phi = np.asarray(phi, dtype=float)
-    if np.any(phi < 0):
-        raise InvalidArgumentError("aridity index must be non-negative")
-    return phi
-
-
-def _maybe_scalar(x, arr):
-    return float(arr) if np.ndim(x) == 0 else arr
-
-
-def eval_original_fB(phi):
-    """Q_B/P = exp(-phi^1.71 - 0.873)^1.05 (fitted exponential family)."""
-    p = _check_phi(phi)
-    return _maybe_scalar(phi, np.exp(1.05 * (-p ** 1.71 - 0.873)))
-
-
-def eval_original_fD(phi):
-    """Q_D/P = exp(-phi^0.77 - 0.864)^1.06."""
-    p = _check_phi(phi)
-    return _maybe_scalar(phi, np.exp(1.06 * (-p ** 0.77 - 0.864)))
-
-
-def eval_kan_fB(phi):
-    """Q_B/P = 0.39 - 0.34*tanh(1.42*phi - 0.82)."""
-    p = _check_phi(phi)
-    return _maybe_scalar(phi, 0.39 - 0.34 * np.tanh(1.42 * p - 0.82))
-
-
-def eval_kan_inspired_fB(phi):
-    """Q_B/P = 0.7573 - 0.7243*tanh(phi) (two-parameter form)."""
-    p = _check_phi(phi)
-    return _maybe_scalar(phi, 0.7573 - 0.7243 * np.tanh(p))
-
-
-def eval_FB(phi):
-    """Q_B = 47.13 + 1932.52*exp(-1.42*(phi + 0.29)^2), mm/yr.
-
-    The squared argument is written (phi + 0.29)^2; the published form
-    squares its negation, which is identical.
-    """
-    p = _check_phi(phi)
-    return _maybe_scalar(phi, 47.13 + 1932.52 * np.exp(-1.42 * (p + 0.29) ** 2))
-
-
-def eval_FD(phi):
-    """Q_D = 616.82 - 418.39*arctan(2.84*phi - 0.87), mm/yr.
-
-    Goes negative for phi beyond about 3.949.
-    """
-    p = _check_phi(phi)
-    return _maybe_scalar(phi, 616.82 - 418.39 * np.arctan(2.84 * p - 0.87))
-
-
-FIXED_MODELS = {
-    "original_fb": eval_original_fB,
-    "original_fd": eval_original_fD,
-    "kan_fb": eval_kan_fB,
-    "kan_inspired_fb": eval_kan_inspired_fB,
-    "FB": eval_FB,
-    "FD": eval_FD,
-}
-
-MODEL_TARGETS = {
-    "original_fb": "qb_over_p",
-    "original_fd": "qd_over_p",
-    "kan_fb": "qb_over_p",
-    "kan_inspired_fb": "qb_over_p",
-    "FB": "qb",
-    "FD": "qd",
-}
-
-
 # --------------------------------------------------------------------------
-# Parametric model families
+# Closed-form model families and the published models
 # --------------------------------------------------------------------------
 
 def _f_original_exp(params, phi):
@@ -180,6 +109,8 @@ MODEL_FAMILIES = {
 
 @dataclass
 class AridityModel:
+    """One parameter point of a family; called on phi >= 0."""
+
     family: str
     params: np.ndarray
 
@@ -194,11 +125,45 @@ class AridityModel:
                 f"got {self.params.size}")
 
     def __call__(self, phi):
-        return MODEL_FAMILIES[self.family][1](self.params, np.asarray(phi, float))
+        phi = np.asarray(phi, dtype=float)
+        if np.any(phi < 0):
+            raise InvalidArgumentError("aridity index must be non-negative")
+        return MODEL_FAMILIES[self.family][1](self.params, phi)
 
 
-def fit_parametric(family: str, xs, ys, x0,
-                   opts: OptimOptions | None = None) -> AridityModel:
+# The published models as family instances; each gives the same doubles as
+# its formula written out, since a + (-b)*t equals a - b*t in IEEE arithmetic
+FIXED_MODELS = {
+    # Q_B/P = exp(-phi^1.71 - 0.873)^1.05
+    "original_fb": AridityModel("original-exp", [1.71, -0.873, 1.05]),
+    # Q_D/P = exp(-phi^0.77 - 0.864)^1.06
+    "original_fd": AridityModel("original-exp", [0.77, -0.864, 1.06]),
+    # Q_B/P = 0.39 - 0.34*tanh(1.42*phi - 0.82)
+    "kan_fb": AridityModel("tanh4", [0.39, -0.34, 1.42, -0.82]),
+    # Q_B/P = 0.7573 - 0.7243*tanh(phi)
+    "kan_inspired_fb": AridityModel("tanh2", [0.7573, 0.7243]),
+    # Q_B = 47.13 + 1932.52*exp(-1.42*(phi + 0.29)^2) mm/yr; the published
+    # form squares the negated argument, which is identical
+    "FB": AridityModel("gaussian3", [47.13, 1932.52, 1.42, 0.29]),
+    # Q_D = 616.82 - 418.39*arctan(2.84*phi - 0.87) mm/yr; negative for phi
+    # beyond about 3.949
+    "FD": AridityModel("arctan4", [616.82, -418.39, 2.84, -0.87]),
+}
+# the names the acceptance criteria import, in FIXED_MODELS order
+(eval_original_fB, eval_original_fD, eval_kan_fB, eval_kan_inspired_fB,
+ eval_FB, eval_FD) = FIXED_MODELS.values()
+
+MODEL_TARGETS = {
+    "original_fb": "qb_over_p",
+    "original_fd": "qd_over_p",
+    "kan_fb": "qb_over_p",
+    "kan_inspired_fb": "qb_over_p",
+    "FB": "qb",
+    "FD": "qd",
+}
+
+
+def fit_parametric(family: str, xs, ys, x0) -> AridityModel:
     """BFGS fit of a formula family to (phi, y) pairs under RMSE loss."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -231,8 +196,8 @@ def fit_parametric(family: str, xs, ys, x0,
 
     try:
         res = bfgs_minimize(objective, grad, x0,
-                            opts or OptimOptions(max_iters=400, grad_tol=1e-10))
-    except Exception as exc:
+                            OptimOptions(max_iters=400, grad_tol=1e-10))
+    except NonFiniteObjectiveError as exc:
         raise OptimizerFailureError(str(exc), best=AridityModel(family, x0)) from exc
     return AridityModel(family, res.x_star)
 
@@ -249,57 +214,56 @@ def load_catchments(path, strict: bool = True) -> CatchmentDataset:
     Rows violating the water balance (qb + qd > p) are warned about, and
     excluded in strict mode (still counting as duplicates)."""
     if hasattr(path, "read"):
-        text = path.read()
-        name = "<stream>"
+        name, opened = "<stream>", contextlib.nullcontext(path)
     else:
         name = str(path)
         try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                text = fh.read()
+            opened = open(path, "r", encoding="utf-8", newline="")
         except OSError as exc:
             raise CsvParseError(f"cannot read {name}: {exc}") from exc
+
+    with opened as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise CsvParseError(f"{name}: empty file")
+            header = [h.strip() for h in header]
+            missing = [c for c in REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise CsvParseError(
+                    f"{name}: missing required columns {missing}")
+            extra = [c for c in header if c not in REQUIRED_COLUMNS]
+            warnings = [f"ignoring extra columns {extra}"] if extra else []
+            gi, *numeric = (header.index(c) for c in REQUIRED_COLUMNS)
+
+            # the fields stream into one list per column; the checks run on
+            # whole columns, and messages are built for failing lines only
+            ids, lines, fields = [], [], ([], [], [], [])
+            p_s, pet_s, qb_s, qd_s = fields
+            pi, peti, qbi, qdi = numeric
+            fault = None  # a short row, which ends the scan
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) < len(header):
+                    if "".join(row).strip():
+                        fault = CsvParseError(
+                            f"{name}:{line_no}: expected {len(header)} "
+                            f"fields, got {len(row)}")
+                        break
+                    continue  # blank
+                gauge = row[gi].strip()
+                if not gauge and not "".join(row).strip():
+                    continue  # blank
+                ids.append(gauge)
+                lines.append(line_no)
+                p_s.append(row[pi])
+                pet_s.append(row[peti])
+                qb_s.append(row[qbi])
+                qd_s.append(row[qdi])
+        except csv.Error as exc:  # e.g. an oversized field
+            raise CsvParseError(f"{name}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CsvParseError(f"{name}: not UTF-8 text ({exc})") from exc
-
-    reader = csv.reader(io.StringIO(text))
-    try:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{name}: empty file")
-        header = [h.strip() for h in header]
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise CsvParseError(f"{name}: missing required columns {missing}")
-        extra = [c for c in header if c not in REQUIRED_COLUMNS]
-        warnings = [f"ignoring extra columns {extra}"] if extra else []
-        gi, *numeric = (header.index(c) for c in REQUIRED_COLUMNS)
-
-        # the fields stream into one list per column; the checks run on whole
-        # columns, and messages are built for failing lines only
-        ids, lines, fields = [], [], ([], [], [], [])
-        p_s, pet_s, qb_s, qd_s = fields
-        pi, peti, qbi, qdi = numeric
-        fault = None  # a short row, which ends the scan
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) < len(header):
-                if "".join(row).strip():
-                    fault = CsvParseError(
-                        f"{name}:{line_no}: expected {len(header)} fields, "
-                        f"got {len(row)}")
-                    break
-                continue  # blank
-            gauge = row[gi].strip()
-            if not gauge and not "".join(row).strip():
-                continue  # blank
-            ids.append(gauge)
-            lines.append(line_no)
-            p_s.append(row[pi])
-            pet_s.append(row[peti])
-            qb_s.append(row[qbi])
-            qd_s.append(row[qdi])
-    except csv.Error as exc:  # e.g. lone-CR line ends, an oversized field
-        raise CsvParseError(f"{name}:{reader.line_num}: {exc}") from exc
     try:
         cols = np.array(fields, dtype=float)
     except ValueError:  # it parses like float(), so float() finds the row

@@ -27,6 +27,7 @@ from .errors import (
     DomainViolationError,
     InvalidArgumentError,
     InvalidShapeError,
+    NonFiniteObjectiveError,
     OptimizerFailureError,
     UnlockedEdgesError,
 )
@@ -189,8 +190,7 @@ class KanNetwork:
         return net
 
 
-def init_network(shape, grid_intervals: int, seed: int = 0,
-                 order: int = DEFAULT_ORDER) -> KanNetwork:
+def init_network(shape, grid_intervals: int, seed: int = 0) -> KanNetwork:
     """Fresh network with small-random spline coefficients, w_b = w_c = 1."""
     shape = [int(s) for s in shape]
     if len(shape) < 2 or any(s < 1 for s in shape):
@@ -206,7 +206,7 @@ def init_network(shape, grid_intervals: int, seed: int = 0,
             row = []
             for _ in range(in_dim):
                 grid = bspline.make_grid(*DEFAULT_GRID_DOMAIN,
-                                         grid_intervals, order)
+                                         grid_intervals, DEFAULT_ORDER)
                 coeffs = SplineCoeffs(
                     rng.normal(0.0, COEFF_INIT_SCALE, grid.num_basis))
                 row.append(EdgeActivation(1.0, 1.0, grid, coeffs))
@@ -530,8 +530,7 @@ def snap_edge(net: KanNetwork, layer: int, out_idx: int, in_idx: int, xs,
     return net, result
 
 
-def refine_affine(net: KanNetwork, xs, ys,
-                  opts: OptimOptions | None = None) -> KanNetwork:
+def refine_affine(net: KanNetwork, xs, ys) -> KanNetwork:
     """BFGS re-optimization of non-frozen lock parameters against RMSE."""
     xs, ys = _check_batch(net, xs, ys)
     locked = [idx for idx, (_, _, _, e) in enumerate(net.iter_edges())
@@ -566,13 +565,11 @@ def refine_affine(net: KanNetwork, xs, ys,
     x0 = base[slots]
     f0 = objective(x0)
     try:
-        res = bfgs_minimize(objective, grad, x0,
-                            opts or OptimOptions(max_iters=200))
-        best = res.x_star if res.f_star <= f0 else x0
-    except Exception as exc:  # surface best-so-far, never lose the iterate
+        res = bfgs_minimize(objective, grad, x0, OptimOptions(max_iters=200))
+    except NonFiniteObjectiveError as exc:  # surface the starting point
         raise OptimizerFailureError(str(exc), best=x0) from exc
     p = base.copy()
-    p[slots] = best
+    p[slots] = res.x_star if res.f_star <= f0 else x0
     net.set_params(p)
     return net
 

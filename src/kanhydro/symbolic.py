@@ -499,7 +499,11 @@ def _tokenize(text: str):
             while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
                                      or (text[j] in "+-" and text[j - 1] in "eE")):
                 j += 1
-            tokens.append(("num", float(text[i:j])))
+            try:
+                tokens.append(("num", float(text[i:j])))
+            except ValueError as exc:
+                raise ExpressionParseError(
+                    f"malformed number {text[i:j]!r} at {i}") from exc
             i = j
         elif ch.isalpha() or ch == "_":
             j = i

@@ -192,6 +192,11 @@ class TestSynthAndMetrics:
         assert cli.main(["synth", "--formula", "frobnicate(x",
                          "--n", "5", "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_malformed_number_in_formula(self, tmp_path, capsys):
+        assert cli.main(["synth", "--formula", "1.2.3*x",
+                         "--n", "5", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "malformed number '1.2.3'" in capsys.readouterr().err
+
 
 class TestPlotData:
     def test_curves_and_scatter(self, data_file, tmp_path, capsys):

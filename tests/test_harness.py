@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kanhydro import hydro
+from kanhydro import harness, hydro
 from kanhydro.errors import InvalidArgumentError, TooSmallDatasetError
 from kanhydro.harness import (
     FitReport,
@@ -143,6 +143,15 @@ class TestGridSearch:
         assert best.shape == [1, 1]
         bad = next(row for row in table if row["shape"] == [1])
         assert bad["mean_r2"] == -np.inf
+
+    def test_programming_error_escapes(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a job failure")
+
+        monkeypatch.setattr(harness, "run_pipeline", broken)
+        phi, ys = synth(100)
+        with pytest.raises(TypeError, match="not a job failure"):
+            grid_search(small_config(), phi, ys)
 
     def test_parallel_matches_serial(self):
         phi, ys = synth(100)

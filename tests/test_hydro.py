@@ -75,6 +75,24 @@ class TestFixedFormulas:
         assert eval_FD(1e6) == pytest.approx(616.82 - 418.39 * np.pi / 2,
                                              abs=1e-2)
 
+    def test_published_parameters(self):
+        # each published formula written out, against its family instance
+        written = {
+            "original_fb": lambda p: np.exp(1.05 * (-p ** 1.71 - 0.873)),
+            "original_fd": lambda p: np.exp(1.06 * (-p ** 0.77 - 0.864)),
+            "kan_fb": lambda p: 0.39 - 0.34 * np.tanh(1.42 * p - 0.82),
+            "kan_inspired_fb": lambda p: 0.7573 - 0.7243 * np.tanh(p),
+            "FB": lambda p: 47.13 + 1932.52 * np.exp(-1.42 * (p + 0.29) ** 2),
+            "FD": lambda p: 616.82 - 418.39 * np.arctan(2.84 * p - 0.87),
+        }
+        phi = np.concatenate([[0.0, 1e-300], np.linspace(1e-3, 30.0, 3001),
+                              [1e6]])
+        assert set(hydro.FIXED_MODELS) == set(written)
+        for name, model in hydro.FIXED_MODELS.items():
+            assert isinstance(model, AridityModel), name
+            assert np.array_equal(model(phi), written[name](phi)), name
+            assert model(2.5) == written[name](np.float64(2.5)), name
+
     def test_negative_phi_rejected(self):
         for fn in (eval_original_fB, eval_original_fD, eval_kan_fB,
                    eval_kan_inspired_fB, eval_FB, eval_FD):
@@ -89,12 +107,12 @@ class TestFixedFormulas:
         for fn in (eval_original_fB, eval_original_fD, eval_kan_fB,
                    eval_kan_inspired_fB, eval_FB, eval_FD):
             vals = fn(phi)
-            assert np.all(np.diff(vals) < 0), fn.__name__
+            assert np.all(np.diff(vals) < 0), fn
         phi = np.linspace(4.0, 10.0, 1_000)
         for fn in (eval_original_fB, eval_original_fD, eval_kan_fB,
                    eval_kan_inspired_fB, eval_FB, eval_FD):
             vals = fn(phi)
-            assert np.all(np.diff(vals) <= 0), fn.__name__
+            assert np.all(np.diff(vals) <= 0), fn
 
     def test_bounds(self):
         phi = np.linspace(0.001, 20, 2000)
@@ -281,14 +299,22 @@ class TestLoadCatchments:
             load_catchments(path)
 
     @pytest.mark.parametrize("text", [
-        GOOD_CSV.replace("\n", "\r"),  # lone-CR line ends
         GOOD_CSV.replace("01030500", '"' + "9" * 200_000 + '"'),
-    ], ids=["lone-cr", "oversized-field"])
+    ], ids=["oversized-field"])
     def test_csv_error_names_file(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text, newline="")
         with pytest.raises(CsvParseError, match="bad.csv:"):
             load_catchments(path)
+
+    def test_lone_cr_file_loads_like_lf(self, tmp_path):
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        lf.write_text(GOOD_CSV, newline="")
+        cr.write_text(GOOD_CSV.replace("\n", "\r"), newline="")
+        a, b = load_catchments(lf), load_catchments(cr)
+        assert a.gauge_ids == b.gauge_ids and len(a) == 3
+        for col in ("p", "pet", "qb", "qd"):
+            assert np.array_equal(a.column(col), b.column(col))
 
     def test_crlf_accepted(self):
         ds = load_catchments(io.StringIO(GOOD_CSV.replace("\n", "\r\n")))

@@ -350,6 +350,11 @@ class TestParsing:
         with pytest.raises(ExpressionParseError):
             parse_expression("1 + 2 )")
 
+    @pytest.mark.parametrize("text", ["1.2.3*x", "2e*x", "x + ."])
+    def test_malformed_number(self, text):
+        with pytest.raises(ExpressionParseError, match="malformed number"):
+            parse_expression(text)
+
     def test_registered_candidates_parse(self):
         tree = parse_expression("gaussian(x) + cosh(2*x)")
         expect = np.exp(-1.0) + np.cosh(2.0)
