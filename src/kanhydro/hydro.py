@@ -169,6 +169,12 @@ def fit_parametric(family: str, xs, ys, x0) -> AridityModel:
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:
         raise LengthMismatchError("xs and ys must have equal length")
+    # the fitted model rejects what it cannot score, so the fit does too
+    if not np.all(np.isfinite(xs) & (xs >= 0.0)):
+        raise InvalidArgumentError(
+            "aridity index must be finite and non-negative")
+    if not np.all(np.isfinite(ys)):
+        raise InvalidArgumentError("ys must be finite")
     count, fn = MODEL_FAMILIES[family]
     x0 = np.asarray(x0, dtype=float)
     if x0.size != count:

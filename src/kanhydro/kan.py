@@ -46,6 +46,7 @@ from .symbolic import (
 DEFAULT_GRID_DOMAIN = (-3.0, 3.0)
 DEFAULT_ORDER = 3
 COEFF_INIT_SCALE = 0.1
+CHECKPOINT_SCHEMA = 1  # the "schema" field of to_json's document
 GRID_MARGIN = 0.1
 
 
@@ -153,15 +154,22 @@ class KanNetwork:
                     "frozen": e.lock.frozen,
                 }
             edges.append(rec)
-        doc = {"shape": list(self.shape), "seed": self.rng_seed, "edges": edges}
+        doc = {"schema": CHECKPOINT_SCHEMA, "shape": list(self.shape),
+               "seed": self.rng_seed, "edges": edges}
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "KanNetwork":
-        """Inverse of to_json; a document that is not JSON, or lacks a field
-        or an edge, raises DataValidationError naming the problem."""
+        """Inverse of to_json; a document that is not JSON, lacks a field
+        or an edge, or has another schema version raises DataValidationError
+        naming the problem. A document without a schema is version 1."""
         try:
             doc = json.loads(text)
+            schema = doc["schema"] if "schema" in doc else 1
+            if type(schema) is not int or schema != CHECKPOINT_SCHEMA:
+                raise DataValidationError(
+                    f"checkpoint 'schema' is {schema!r}; this version reads "
+                    f"{CHECKPOINT_SCHEMA}")
             net = init_network(doc["shape"], grid_intervals=1,
                                seed=doc["seed"])
             lookup = {(r["layer"], r["out"], r["in"]): r

@@ -271,6 +271,21 @@ class CoarseGrid:
         yc = ys - ys.mean()
         return CoarseGrid(a_vals, b_vals, u, yc, float(yc @ yc))
 
+    def mirror_half(self) -> "CoarseGrid":
+        """The a > 0 rows of this grid, as views; the grid itself when its
+        b values are not symmetric about 0.
+
+        With b_vals == -b_vals[::-1], the point (-a, -b) lays u' = -u
+        exactly, so an even or odd f fits it with the same SSE as (a, b),
+        and the a > 0 rows alone hold a best point.
+        """
+        half = self.a_vals.size // 2
+        if not (np.array_equal(self.b_vals, -self.b_vals[::-1])
+                and np.array_equal(self.a_vals[half:], -self.a_vals[:half])):
+            return self
+        return CoarseGrid(self.a_vals[:half], self.b_vals, self.u[:half],
+                          self.yc, self.syy)
+
 
 def _solve_cd(z, ys):
     """Closed-form (c, d) for min ||c z + d - y||^2, plus the SSE."""
@@ -311,13 +326,15 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain=None):
         raise NoValidCandidateError("f not finite at any feasible grid point")
     if not finite.all():
         z = np.where(is_finite, z, 0.0)
+    elif np.shares_memory(z, u):
+        z = z.copy()  # centred and squared in place below
 
     # centered sums keep the closed-form SSE stable when z is near-constant
     m = u.shape[2]
     zmean = z.mean(axis=2, keepdims=True)
-    zc = z - zmean
-    szz = (zc * zc).sum(axis=2)
-    szy = zc @ coarse.yc
+    z -= zmean
+    szy = z @ coarse.yc
+    szz = np.square(z, out=z).sum(axis=2)
     # guard against near-constant z per grid point; a global threshold would
     # let one overflowing (a, b) point mask every reasonable candidate
     scale = szz + m * zmean[:, :, 0] ** 2  # = sum of z*z

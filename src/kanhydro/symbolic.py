@@ -28,9 +28,12 @@ class CandidateFunction:
     """A unary primitive: one row of the candidate library.
 
     `form` is the printed text, with `{}` for the argument; the parser reads
-    the same forms back. An `even` primitive has f(-u) = f(u), so fold can
-    normalize the sign of its affine wrap. `role` is "identity" or "zero" for
-    the linear primitives that fold simplifies away, and "" otherwise.
+    the same forms back. `parity` is "even" when f(-u) == f(u) and "odd" when
+    f(-u) == -f(u), exactly in floating point and on a domain symmetric about
+    0, and "" otherwise. Fold normalizes the sign of an even primitive's
+    affine wrap, and the snap searches only a > 0 for either parity. `role`
+    is "identity" or "zero" for the linear primitives that fold simplifies
+    away, and "" otherwise.
     """
 
     name: str
@@ -39,7 +42,7 @@ class CandidateFunction:
     domain: callable
     complexity: int
     form: str
-    even: bool
+    parity: str
     role: str
 
     def __repr__(self):
@@ -105,59 +108,60 @@ def _sigmoid(u):
 # A row holds every fact about its primitive, as in pykan's symbolic library
 # (Liu et al. 2024, arXiv 2404.19756): adding a candidate is adding a row.
 _LIBRARY = [
-    # name, fn, deriv, domain, complexity, printed form, even, role
+    # name, fn, deriv, domain, complexity, printed form, parity, role
     CandidateFunction("x", lambda u: u + 0.0, lambda u: np.ones_like(u), _all,
-                      1, "{}", False, "identity"),
+                      1, "{}", "odd", "identity"),
     CandidateFunction("x^2", lambda u: u ** 2, lambda u: 2.0 * u, _all, 2,
-                      "{}^2", True, ""),
+                      "{}^2", "even", ""),
     CandidateFunction("x^3", _cube, lambda u: 3.0 * (u * u), _all, 2, "{}^3",
-                      False, ""),
+                      "odd", ""),
     CandidateFunction("x^4", _quartic, lambda u: 4.0 * _cube(u), _all, 2,
-                      "{}^4", True, ""),
+                      "{}^4", "even", ""),
     CandidateFunction("1/x", lambda u: 1.0 / u, lambda u: -_inv2(u),
-                      _nonzero, 2, "1/{}", False, ""),
+                      _nonzero, 2, "1/{}", "odd", ""),
     CandidateFunction("1/x^2", _inv2, lambda u: -2.0 * _inv3(u), _nonzero, 3,
-                      "1/{}^2", True, ""),
+                      "1/{}^2", "even", ""),
     CandidateFunction("1/x^3", _inv3, lambda u: -3.0 * _inv4(u), _nonzero, 3,
-                      "1/{}^3", False, ""),
+                      "1/{}^3", "odd", ""),
     CandidateFunction("1/x^4", _inv4, lambda u: -4.0 * _inv5(u), _nonzero, 3,
-                      "1/{}^4", True, ""),
+                      "1/{}^4", "even", ""),
     CandidateFunction("sqrt", np.sqrt, lambda u: 0.5 / np.sqrt(u),
-                      lambda u: np.asarray(u) >= 0.0, 2, "sqrt({})", False, ""),
+                      lambda u: np.asarray(u) >= 0.0, 2, "sqrt({})", "", ""),
     CandidateFunction("1/sqrt", lambda u: 1.0 / np.sqrt(u),
                       lambda u: -0.5 * _inv_sqrt3(u),
-                      lambda u: np.asarray(u) > 0.0, 3, "1/sqrt({})", False,
+                      lambda u: np.asarray(u) > 0.0, 3, "1/sqrt({})", "",
                       ""),
-    CandidateFunction("exp", np.exp, np.exp, _all, 3, "exp({})", False, ""),
+    CandidateFunction("exp", np.exp, np.exp, _all, 3, "exp({})", "", ""),
     CandidateFunction("log", np.log, lambda u: 1.0 / u,
-                      lambda u: np.asarray(u) > 0.0, 3, "log({})", False, ""),
-    CandidateFunction("abs", np.abs, np.sign, _all, 3, "abs({})", True, ""),
-    CandidateFunction("sin", np.sin, np.cos, _all, 4, "sin({})", False, ""),
+                      lambda u: np.asarray(u) > 0.0, 3, "log({})", "", ""),
+    CandidateFunction("abs", np.abs, np.sign, _all, 3, "abs({})", "even", ""),
+    CandidateFunction("sin", np.sin, np.cos, _all, 4, "sin({})", "odd", ""),
     CandidateFunction("tan", np.tan, lambda u: _inv2(np.cos(u)), _all, 4,
-                      "tan({})", False, ""),
+                      "tan({})", "odd", ""),
     CandidateFunction("tanh", np.tanh, lambda u: 1.0 - np.tanh(u) ** 2, _all,
-                      4, "tanh({})", False, ""),
+                      4, "tanh({})", "odd", ""),
     # sigmoid spans the same affine family as tanh; the higher complexity
     # makes tanh the preferred representative when the two fits tie
     CandidateFunction("sigmoid", _sigmoid,
                       lambda u: _sigmoid(u) * (1.0 - _sigmoid(u)), _all, 5,
-                      "sigmoid({})", False, ""),
+                      "sigmoid({})", "", ""),
     CandidateFunction("sign", np.sign, lambda u: np.zeros_like(u), _all, 5,
-                      "sign({})", False, ""),
+                      "sign({})", "odd", ""),
     CandidateFunction("arcsin", np.arcsin,
                       lambda u: 1.0 / np.sqrt(1.0 - u ** 2),
-                      lambda u: np.abs(u) <= 1.0, 5, "arcsin({})", False, ""),
+                      lambda u: np.abs(u) <= 1.0, 5, "arcsin({})", "odd", ""),
     CandidateFunction("arctan", np.arctan, lambda u: 1.0 / (1.0 + u ** 2),
-                      _all, 4, "arctan({})", False, ""),
+                      _all, 4, "arctan({})", "odd", ""),
     CandidateFunction("arctanh", np.arctanh, lambda u: 1.0 / (1.0 - u ** 2),
-                      lambda u: np.abs(u) < 1.0, 5, "arctanh({})", False, ""),
+                      lambda u: np.abs(u) < 1.0, 5, "arctanh({})", "odd", ""),
     CandidateFunction("0", lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                       lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                      _all, 0, "0", True, "zero"),
+                      _all, 0, "0", "even", "zero"),
     CandidateFunction("gaussian", lambda u: np.exp(-u ** 2),
                       lambda u: -2.0 * u * np.exp(-u ** 2), _all, 4,
-                      "gaussian({})", True, ""),
-    CandidateFunction("cosh", np.cosh, np.sinh, _all, 4, "cosh({})", True, ""),
+                      "gaussian({})", "even", ""),
+    CandidateFunction("cosh", np.cosh, np.sinh, _all, 4, "cosh({})", "even",
+                      ""),
 ]
 _BY_NAME = {c.name: c for c in _LIBRARY}
 _BY_FORM = {c.form: c for c in _LIBRARY}
@@ -214,10 +218,13 @@ def rank_candidates(xs, ys,
         return SnapResult([(_ZERO.name, 1.0, 0.0, 0.0, float(ys.mean()), 1.0)])
 
     coarse = CoarseGrid.over(xs, ys, search)  # the same for every candidate
+    # an even or odd f fits (-a, -b) as it fits (a, b): search a > 0 only
+    half = coarse.mirror_half()
     starts = []
     for cand in _LIBRARY:
         try:
-            p0, sse0 = affine_start(cand.fn, xs, ys, coarse,
+            p0, sse0 = affine_start(cand.fn, xs, ys,
+                                    half if cand.parity else coarse,
                                     domain=cand.domain)
         except NoValidCandidateError:
             continue
@@ -307,7 +314,7 @@ def fold(node) -> Node:
         a, b, c, d = node.a, node.b, node.c, node.d
         if cand is _ZERO or c == 0.0:
             return Const(d)
-        if cand.even and a < 0.0:
+        if cand.parity == "even" and a < 0.0:
             a, b = -a, -b
         if isinstance(child, Const):
             u = a * child.value + b
@@ -417,6 +424,8 @@ def _render(node, precision: int) -> str:
     if isinstance(node, Unary):
         cand = candidate_by_name(node.name)
         child = _render(node.child, precision)
+        if cand is not _IDENTITY and _fmt(node.c, precision) == "0":
+            return "0"  # a Sum drops the term
         if cand is _IDENTITY:
             # linear wrap: the affine rendering already carries a and b
             return _render_affine(node.c * node.a, node.c * node.b + node.d,

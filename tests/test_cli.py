@@ -123,6 +123,16 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert "checkpoint lacks 'edges'" in err
 
+    @pytest.mark.parametrize("schema", [2, 0, "1", None, True])
+    def test_unknown_schema(self, data_file, tmp_path, capsys, schema):
+        doc = json.loads(
+            kan.init_network([1, 1], grid_intervals=3, seed=0).to_json())
+        doc["schema"] = schema
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(doc))
+        assert self._evaluate(data_file, ckpt) == 1
+        assert "checkpoint 'schema' is" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["sinh", 5])
     def test_unknown_candidate(self, data_file, tmp_path, capsys, name):
         net = kan.init_network([1, 1], grid_intervals=3, seed=0)

@@ -1,6 +1,8 @@
 """Tests for splits, the five-step pipeline, grid search, and reporting."""
 
+import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -192,6 +194,25 @@ class TestFinalize:
         nse = 1 - np.sum((truth - pred) ** 2) / np.sum(
             (truth - truth.mean()) ** 2)
         assert nse >= 0.95
+
+
+class TestFit:
+    def test_wall_clock_covers_the_sweep(self, monkeypatch):
+        phi, ys = synth(60)
+        rows = ["gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr"]
+        for k, (p, y) in enumerate(zip(phi.tolist(), ys.tolist())):
+            rows.append(f"g{k:03d},1000.0,{1000.0 * p!r},"
+                        f"{1000.0 * max(y, 1e-3)!r},10.0")
+        ds = hydro.load_catchments(io.StringIO("\n".join(rows) + "\n"))
+        sweep = harness.grid_search
+
+        def slow_sweep(*args, **kwargs):
+            time.sleep(0.2)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "grid_search", slow_sweep)
+        report = harness.fit(ds, "qb_over_p", small_config())
+        assert report.wall_clock_seconds >= 0.2
 
 
 class TestConfig:

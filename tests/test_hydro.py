@@ -162,6 +162,19 @@ class TestFitParametric:
         rmse = np.sqrt(np.mean((model(xs) - ys) ** 2))
         assert rmse < 1e-6 * (1.0 + np.ptp(ys))
 
+    @pytest.mark.parametrize("xs,ys", [
+        (np.linspace(-1.0, 1.0, 50), np.linspace(0.0, 1.0, 50)),
+        (np.r_[np.linspace(0.2, 5.0, 49), np.nan], np.linspace(0.0, 1.0, 50)),
+        (np.r_[np.linspace(0.2, 5.0, 49), np.inf], np.linspace(0.0, 1.0, 50)),
+        (np.linspace(0.2, 5.0, 50), np.r_[np.linspace(0.0, 1.0, 49), np.nan]),
+        (np.linspace(0.2, 5.0, 50), np.r_[np.linspace(0.0, 1.0, 49), -np.inf]),
+    ], ids=["negative-x", "nan-x", "inf-x", "nan-y", "inf-y"])
+    def test_rejects_what_the_model_cannot_score(self, xs, ys):
+        # the fitted AridityModel raises on negative phi, so the fit rejects
+        # such samples, and non-finite ones, before it starts
+        with pytest.raises(InvalidArgumentError):
+            fit_parametric("tanh2", xs, ys, [0.5, 0.3])
+
     def test_param_count_checked(self):
         with pytest.raises(InvalidArgumentError):
             fit_parametric("tanh2", np.ones(10), np.ones(10), [1.0, 2.0, 3.0])

@@ -1,5 +1,6 @@
 """Tests for the network: evaluation, losses, gradients, prune/snap/refine."""
 
+import json
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from kanhydro import bspline, kan, symbolic
 from kanhydro.errors import (
+    DataValidationError,
     DimMismatchError,
     InvalidArgumentError,
     InvalidShapeError,
@@ -411,6 +413,18 @@ class TestSerialization:
         back = kan.KanNetwork.from_json(text)
         assert back.to_json() == text
         assert np.array_equal(back.get_params(), net.get_params())
+
+    def test_schema_version(self):
+        net = init_network([1, 2, 1], 5, seed=9)
+        doc = json.loads(net.to_json())
+        assert doc["schema"] == 1
+        # a checkpoint written before the field existed reads as version 1
+        del doc["schema"]
+        back = kan.KanNetwork.from_json(json.dumps(doc))
+        assert back.to_json() == net.to_json()
+        doc["schema"] = 2
+        with pytest.raises(DataValidationError, match="'schema'"):
+            kan.KanNetwork.from_json(json.dumps(doc))
 
     def test_grid_rescaling_on_data(self):
         net = init_network([1, 1], 5, seed=0)

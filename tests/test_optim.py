@@ -12,6 +12,7 @@ from kanhydro.errors import (
     NoValidCandidateError,
     NonFiniteObjectiveError,
 )
+from kanhydro.symbolic import candidate_library
 
 
 def dtanh(u):
@@ -168,3 +169,82 @@ class TestFitAffineWrap:
                     for a in coarse.a_vals for b in coarse.b_vals]
         best = min(s for s in sses if np.isfinite(s))
         assert sse0 == pytest.approx(best, rel=1e-9)
+
+
+class TestMirrorHalf:
+    """An even or odd f fits (-a, -b) as it fits (a, b), so the snap
+    searches the a > 0 half of a grid whose b values are symmetric."""
+
+    targets = [
+        (np.linspace(0.2, 5.0, 90),
+         lambda x: 0.39 - 0.34 * np.tanh(1.42 * x - 0.82)),
+        (np.linspace(-2.0, 3.0, 70), lambda x: np.exp(-(x - 0.4) ** 2)),
+        (np.linspace(-1.0, 1.0, 50), lambda x: 0.5 * x ** 3 - x + 2.0),
+    ]
+
+    @staticmethod
+    def _starts(cand, xs, ys, coarse):
+        try:
+            return optim.affine_start(cand.fn, xs, ys, coarse,
+                                      domain=cand.domain)
+        except NoValidCandidateError:
+            return None
+
+    def _pairs(self, parity, grid=None):
+        for xs, law in self.targets:
+            ys = law(xs) + 0.01 * np.sin(7.0 * xs)
+            coarse = optim.CoarseGrid.over(xs, ys, grid)
+            half = coarse.mirror_half()
+            assert half.a_vals.size * 2 == coarse.a_vals.size
+            assert np.all(half.a_vals > 0.0)
+            assert np.shares_memory(half.u, coarse.u)
+            for cand in candidate_library():
+                if cand.parity == parity:
+                    yield (cand.name, self._starts(cand, xs, ys, half),
+                           self._starts(cand, xs, ys, coarse))
+
+    def test_even_candidates_match_the_full_grid_exactly(self):
+        # f(-u) == f(u), so the mirror point fits the same (c, d) and SSE bit
+        # for bit; the full grid may still pick the a < 0 copy, because the
+        # matrix-vector product behind the centred sums groups rows by their
+        # position and can round the two copies' sums differently
+        for name, got, want in self._pairs("even"):
+            assert (got is None) == (want is None), name
+            if want is not None:
+                (a, b, c, d), sse = got
+                assert (a, b) in ((want[0][0], want[0][1]),
+                                  (-want[0][0], -want[0][1])), name
+                assert (c, d, sse) == (want[0][2], want[0][3], want[1]), name
+
+    def test_odd_candidates_reach_the_full_grid_sse(self):
+        # a mirrored pair can differ in its last bits (the matrix-vector
+        # product groups rows by position), so the start may be the mirror
+        for name, got, want in self._pairs("odd"):
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0), \
+                    name
+
+    def test_asymmetric_b_keeps_the_full_grid(self):
+        xs, law = self.targets[0]
+        ys = law(xs)
+        grid = optim.AffineSearchGrid(b_values=np.linspace(-10.0, 9.0, 20))
+        coarse = optim.CoarseGrid.over(xs, ys, grid)
+        assert coarse.mirror_half() is coarse
+        for cand in candidate_library():
+            got = self._starts(cand, xs, ys, coarse.mirror_half())
+            want = self._starts(cand, xs, ys, coarse)
+            assert (got is None) == (want is None), cand.name
+            if want is not None:
+                assert np.array_equal(got[0], want[0]), cand.name
+                assert got[1] == want[1], cand.name
+
+    def test_f_returning_its_argument_leaves_the_grid_intact(self):
+        # the coarse pass centres and squares f(u) in place
+        xs = np.linspace(0.0, 1.0, 20)
+        coarse = optim.CoarseGrid.over(xs, 2.0 * xs + 1.0)
+        before = coarse.u.copy()
+        p0, sse0 = optim.affine_start(lambda u: u, xs, 2.0 * xs + 1.0,
+                                      coarse)
+        assert np.array_equal(coarse.u, before)
+        assert sse0 == pytest.approx(0.0, abs=1e-12)
