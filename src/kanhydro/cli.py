@@ -69,6 +69,7 @@ def _cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "summary.txt").write_text(_summary_text(report), encoding="utf-8")
+    (out / "checkpoint.json").write_text(report.checkpoint, encoding="utf-8")
     print(_summary_text(report), end="")
     return EXIT_OK
 

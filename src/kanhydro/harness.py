@@ -175,6 +175,10 @@ def run_pipeline(x_pre, y_pre, x_val, y_val, hp: HyperPoint, *,
     net = kan.train(net, x_pre, y_pre, lambda_, opts)
 
     net = kan.prune(net, prune_threshold, x_pre)
+    has_val = x_val is not None and len(np.atleast_1d(y_val))
+    if has_val:
+        x_val = np.asarray(x_val, dtype=float).reshape(len(y_val), -1)
+        presnap = kan.forward_batch(net, x_val)[:, 0]
 
     snap_results = []
     for l, j, i, edge in list(net.iter_edges()):
@@ -183,18 +187,15 @@ def run_pipeline(x_pre, y_pre, x_val, y_val, hp: HyperPoint, *,
                                       PIPELINE_SNAP_SEARCH)
             snap_results.append({"edge": [l, j, i], "best": list(snap.best)})
 
-    presnap_r2 = None
     if any(not e.lock.frozen for _, _, _, e in net.iter_edges()):
         net = kan.refine_affine(net, x_pre, y_pre)
     tree = kan.extract_formula(net)
     formula_str = symbolic.print_expression(tree, precision=6)
 
-    val_r2 = None
-    if x_val is not None and len(np.atleast_1d(y_val)):
-        x_val = np.asarray(x_val, dtype=float).reshape(len(y_val), -1)
+    val_r2 = presnap_r2 = None
+    if has_val:
         pred = symbolic.eval_expression(tree, x_val)
         val_r2 = metrics.r_squared((np.asarray(y_val, float), pred))
-        presnap = kan.forward_batch(net, x_val)[:, 0]
         try:
             presnap_r2 = metrics.r_squared((np.asarray(y_val, float), presnap))
         except KanHydroError:

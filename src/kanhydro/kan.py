@@ -160,9 +160,10 @@ class KanNetwork:
 
     @staticmethod
     def from_json(text: str) -> "KanNetwork":
-        """Inverse of to_json; a document that is not JSON, lacks a field
-        or an edge, or has another schema version raises DataValidationError
-        naming the problem. A document without a schema is version 1."""
+        """Inverse of to_json; a document that is not JSON, lacks a field,
+        has another schema or a bad value (an unknown candidate, say) raises
+        DataValidationError naming it. No schema field means version 1."""
+        where = "checkpoint"
         try:
             doc = json.loads(text)
             schema = doc["schema"] if "schema" in doc else 1
@@ -175,6 +176,7 @@ class KanNetwork:
             lookup = {(r["layer"], r["out"], r["in"]): r
                       for r in doc["edges"]}
             for l, j, i, _ in net.iter_edges():
+                where = f"checkpoint edge {(l, j, i)}"
                 rec = lookup[(l, j, i)]
                 g = rec["grid"]
                 grid = bspline.make_grid(g["domain_min"], g["domain_max"],
@@ -193,8 +195,8 @@ class KanNetwork:
         except KeyError as exc:  # a field, or an edge as (layer, out, in)
             raise DataValidationError(
                 f"checkpoint lacks {exc.args[0]!r}") from exc
-        except TypeError as exc:
-            raise DataValidationError(f"malformed checkpoint: {exc}") from exc
+        except (TypeError, InvalidArgumentError) as exc:  # a bad value
+            raise DataValidationError(f"{where}: {exc}") from exc
         return net
 
 
@@ -299,9 +301,9 @@ def _fit_grid(edge: EdgeActivation, x: np.ndarray) -> None:
     edge.coeffs = bspline.fit_coeffs_least_squares(new_grid, dense, vals)
 
 
-# overflow is legitimate in the edges (silu far below zero is -0.0, cosh far
-# from the data inf); callers guard against non-finite values
-@np.errstate(over="ignore")
+# overflow in the edges (silu far below zero is -0.0, cosh far from the data
+# inf) and inf - inf in their sum are legitimate: callers check the result
+@np.errstate(over="ignore", invalid="ignore")
 def _forward(net: KanNetwork, xs: np.ndarray, want_cache: bool,
              layer0=None, fit_grids: bool = False):
     """Layer activations, per-edge outputs (flattening order) and, with
@@ -493,9 +495,7 @@ def prune(net: KanNetwork, threshold: float, xs) -> KanNetwork:
     imps = edge_importances(net, xs)
     threshold *= float(imps.max())
     net = net.clone()
-    imp = {}
-    for k, (l, j, i, _) in enumerate(net.iter_edges()):
-        imp[(l, j, i)] = imps[k]
+    imp = {(l, j, i): v for (l, j, i, _), v in zip(net.iter_edges(), imps)}
 
     kill = {key for key, v in imp.items() if v < threshold}
     # a hidden node dies when its best incoming or best outgoing edge is weak

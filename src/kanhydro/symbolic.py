@@ -96,17 +96,12 @@ def _inv_sqrt3(u):
     return r * np.sqrt(r)
 
 
-def _sigmoid(u):
-    # overflow-safe: exp is only taken of non-positive arguments
-    u = np.asarray(u, dtype=float)
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 # Complexity scores are the deterministic tie-break when two candidates reach
 # the same R^2 (identity cheapest, inverse-domain functions most expensive).
 # A row holds every fact about its primitive, as in pykan's symbolic library
 # (Liu et al. 2024, arXiv 2404.19756): adding a candidate is adding a row.
+# Each row spans its own affine family c*f(a*u + b) + d on one branch: tan,
+# like arcsin and arctanh, is held to its principal domain.
 _LIBRARY = [
     # name, fn, deriv, domain, complexity, printed form, parity, role
     CandidateFunction("x", lambda u: u + 0.0, lambda u: np.ones_like(u), _all,
@@ -136,15 +131,11 @@ _LIBRARY = [
                       lambda u: np.asarray(u) > 0.0, 3, "log({})", "", ""),
     CandidateFunction("abs", np.abs, np.sign, _all, 3, "abs({})", "even", ""),
     CandidateFunction("sin", np.sin, np.cos, _all, 4, "sin({})", "odd", ""),
-    CandidateFunction("tan", np.tan, lambda u: _inv2(np.cos(u)), _all, 4,
-                      "tan({})", "odd", ""),
+    CandidateFunction("tan", np.tan, lambda u: _inv2(np.cos(u)),
+                      lambda u: np.abs(u) < np.pi / 2, 4, "tan({})", "odd",
+                      ""),
     CandidateFunction("tanh", np.tanh, lambda u: 1.0 - np.tanh(u) ** 2, _all,
                       4, "tanh({})", "odd", ""),
-    # sigmoid spans the same affine family as tanh; the higher complexity
-    # makes tanh the preferred representative when the two fits tie
-    CandidateFunction("sigmoid", _sigmoid,
-                      lambda u: _sigmoid(u) * (1.0 - _sigmoid(u)), _all, 5,
-                      "sigmoid({})", "", ""),
     CandidateFunction("sign", np.sign, lambda u: np.zeros_like(u), _all, 5,
                       "sign({})", "odd", ""),
     CandidateFunction("arcsin", np.arcsin,
@@ -195,7 +186,7 @@ class SnapResult:
 
 # rank_candidates polishes only the candidates whose coarse fits are best;
 # the others keep their coarse fit and its R^2. Criterion 5's sweep picks the
-# same hyperpoint, formula and snap with this as with all 24 polished.
+# same hyperpoint, formula and snap with this as with every one polished.
 POLISH_TOP_K = 4
 
 
@@ -246,8 +237,7 @@ def rank_candidates(xs, ys,
     if not rows:
         raise NoValidCandidateError("every candidate infeasible on these inputs")
     # R^2 values are quantized for sorting so fits that agree to optimizer
-    # precision (e.g. sigmoid vs tanh, which span the same affine family)
-    # fall through to the complexity tie-break, then to the name
+    # precision fall through to the complexity tie-break, then to the name
     return SnapResult([row for *_, row in sorted(rows)])
 
 
@@ -316,6 +306,8 @@ def fold(node) -> Node:
             return Const(d)
         if cand.parity == "even" and a < 0.0:
             a, b = -a, -b
+        if a == 0.0:  # f(0*child + b) is f(1*b + 0), whatever the child
+            a, b, child = 1.0, 0.0, Const(b)
         if isinstance(child, Const):
             u = a * child.value + b
             if np.all(cand.domain(np.asarray(u))):
@@ -366,12 +358,8 @@ def fold(node) -> Node:
 
 
 def _fmt(value: float, precision: int) -> str:
-    s = f"{round(value, precision):.{precision}f}"
-    if "." in s:
-        s = s.rstrip("0").rstrip(".")
-    if s in ("-0", ""):
-        s = "0"
-    return s
+    s = f"{round(value, precision):.{precision}f}".rstrip("0").rstrip(".")
+    return "0" if s == "-0" else s
 
 
 def _needs_paren(text: str) -> bool:
@@ -405,11 +393,9 @@ def _times(k: float, factor: str, precision: int) -> str:
 
 def _render_affine(a: float, b: float, child_str: str, precision: int) -> str:
     """Render a*child + b."""
-    if a == 0.0:
-        return _fmt(b, precision)
     head = (child_str if _fmt(a, precision) == "1"
             else _times(a, _paren(child_str), precision))
-    if b == 0.0 or _fmt(b, precision) == "0":
+    if b == 0.0:
         return head
     sign = " + " if b > 0 else " - "
     return f"{head}{sign}{_fmt(abs(b), precision)}"
@@ -424,8 +410,6 @@ def _render(node, precision: int) -> str:
     if isinstance(node, Unary):
         cand = candidate_by_name(node.name)
         child = _render(node.child, precision)
-        if cand is not _IDENTITY and _fmt(node.c, precision) == "0":
-            return "0"  # a Sum drops the term
         if cand is _IDENTITY:
             # linear wrap: the affine rendering already carries a and b
             return _render_affine(node.c * node.a, node.c * node.b + node.d,
@@ -436,8 +420,7 @@ def _render(node, precision: int) -> str:
                                 else _paren(inner))
         return _times(node.c, body, precision)
     if isinstance(node, Sum):
-        parts = [p for p in (_render(t, precision) for t in node.terms)
-                 if p != "0"] or ["0"]
+        parts = [_render(t, precision) for t in node.terms]
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -445,11 +428,27 @@ def _render(node, precision: int) -> str:
     raise InvalidArgumentError(f"unknown node type {type(node)!r}")
 
 
+def _settle(node, precision: int):
+    """The tree with every number that prints as 0 made 0, so that folding
+    it gives what the text parses back to: a term whose c prints as 0 drops,
+    and one whose a does becomes its constant value at a = 0."""
+    def z(v):
+        return 0.0 if _fmt(v, precision) == "0" else v
+    if isinstance(node, Const):
+        return Const(z(node.value))
+    if isinstance(node, Sum):
+        return Sum(tuple(_settle(t, precision) for t in node.terms))
+    if isinstance(node, Unary):
+        return Unary(node.name, z(node.a), z(node.b), z(node.c), z(node.d),
+                     _settle(node.child, precision))
+    return node
+
+
 def print_expression(tree, precision: int = 6) -> str:
     """Deterministic infix rendering after constant folding."""
     if precision < 1:
         raise InvalidArgumentError("precision must be >= 1")
-    return _render(fold(tree), precision)
+    return _render(fold(_settle(fold(tree), precision)), precision)
 
 
 def eval_expression(tree, x) -> float | np.ndarray:
@@ -482,10 +481,8 @@ def _eval(node, xmat, path):
             val = cand.fn(u)
         return node.c * val + node.d
     if isinstance(node, Sum):
-        total = np.zeros(xmat.shape[0])
-        for k, t in enumerate(node.terms):
-            total = total + _eval(t, xmat, f"{path}.terms[{k}]")
-        return total
+        return sum((_eval(t, xmat, f"{path}.terms[{k}]") for k, t in
+                    enumerate(node.terms)), np.zeros(xmat.shape[0]))
     raise InvalidArgumentError(f"unknown node type {type(node)!r}")
 
 

@@ -145,6 +145,19 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert f"unknown candidate function {name!r}" in err
 
+    def test_sigmoid_names_the_edge(self, data_file, tmp_path, capsys):
+        # sigmoid left the library (it spans tanh's affine family); a
+        # checkpoint that still names it is rejected, not converted
+        net = kan.init_network([1, 2, 1], grid_intervals=3, seed=0)
+        net.layers[1].edges[0][1].lock = kan.SymbolicLock(
+            symbolic.candidate_by_name("tanh"), 1.0, 0.0, 1.0, 0.0)
+        ckpt = tmp_path / "sigmoid.json"
+        ckpt.write_text(net.to_json().replace('"tanh"', '"sigmoid"'))
+        assert self._evaluate(data_file, ckpt) == 1
+        err = capsys.readouterr().err
+        assert ("checkpoint edge (1, 0, 1): unknown candidate function "
+                "'sigmoid'") in err
+
     def test_non_utf8(self, data_file, tmp_path, capsys):
         ckpt = tmp_path / "latin1.json"
         ckpt.write_bytes(b'{"shape": "\xff"}')
@@ -266,6 +279,13 @@ class TestFit:
         # tiny budget, so only check that a usable formula came out
         assert report["test_metrics"]["nse"] > 0.9
         assert (out_dir / "summary.txt").exists()
+        # the saved network scores as a model on the same data
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--data", str(data), "--model",
+                         f"checkpoint:{out_dir / 'checkpoint.json'}",
+                         "--target", "qb_over_p"]) == 0
+        scored = json.loads(capsys.readouterr().out)
+        assert scored["metrics"]["nse"] > 0.9
 
     def test_bad_config_key(self, data_file, tmp_path, capsys):
         # an unknown key, text that is not JSON, JSON that is not an

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from kanhydro import harness, hydro
+from kanhydro import harness, hydro, kan, metrics
 from kanhydro.errors import InvalidArgumentError, TooSmallDatasetError
 from kanhydro.harness import (
     FitReport,
@@ -20,6 +20,7 @@ from kanhydro.harness import (
     run_pipeline,
     split_indices,
 )
+from kanhydro.optim import OptimOptions
 
 FORMULA = "0.39 - 0.34*tanh(1.42*x - 0.82)"
 
@@ -116,6 +117,36 @@ class TestRunPipeline:
         res = run_pipeline(phi, ys, phi, ys, HyperPoint([1, 1], 5, 1))
         assert res.presnap_r2 is not None
         assert 0.9 < res.presnap_r2 <= 1.0
+
+    def test_presnap_score_is_the_pruned_networks(self):
+        phi, ys = synth(150)
+        xs = phi.reshape(-1, 1)
+        tr, va = kfold_split(150, 3, 0)[0]
+        hp = HyperPoint([1, 1], 5, 1)
+        res = run_pipeline(xs[tr], ys[tr], xs[va], ys[va], hp)
+        # the same train and prune as run_pipeline's defaults, by hand
+        net = kan.init_network(hp.shape, hp.grid_intervals, hp.seed)
+        net = kan.adapt_grids(net, xs[tr])
+        net = kan.train(net, xs[tr], ys[tr], 1e-3,
+                        OptimOptions(max_iters=100, grad_tol=1e-6,
+                                     f_rel_tol=1e-10))
+        net = kan.prune(net, 1e-2, xs[tr])
+        presnap = kan.forward_batch(net, xs[va])[:, 0]
+        assert res.presnap_r2 == metrics.r_squared((ys[va], presnap))
+        assert res.presnap_r2 != res.validation_r2
+
+    def test_locked_edges_overflowing_to_opposite_infinities(self):
+        # refine's line search probes points where two locked cosh edges
+        # overflow to +inf and -inf; their sum makes the loss NaN, which the
+        # search treats as a wall, and raises no RuntimeWarning
+        phi, y = hydro.synth_generate(hydro.FIXED_MODELS["FD"], 302,
+                                      (0.2, 5.0), 20.0, 0)
+        tr, _ = split_indices(302, 0.8, 0)
+        phi, y = phi[tr], y[tr]
+        fit, va = kfold_split(len(y), 2, 0)[1]
+        res = run_pipeline(phi[fit], y[fit], phi[va], y[va],
+                           HyperPoint([1, 3, 1], 5, 0))
+        assert res.validation_r2 > 0.9
 
 
 class TestGridSearch:
