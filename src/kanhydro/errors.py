@@ -53,14 +53,6 @@ class NonFiniteObjectiveError(KanHydroError):
     """The objective is not finite at the starting point."""
 
 
-class OptimizerFailureError(KanHydroError):
-    """Optimization failed; carries the best iterate found so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class TooSmallDatasetError(KanHydroError, ValueError):
     """Not enough records for the requested split."""
 

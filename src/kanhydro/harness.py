@@ -187,8 +187,7 @@ def run_pipeline(x_pre, y_pre, x_val, y_val, hp: HyperPoint, *,
                                       PIPELINE_SNAP_SEARCH)
             snap_results.append({"edge": [l, j, i], "best": list(snap.best)})
 
-    if any(not e.lock.frozen for _, _, _, e in net.iter_edges()):
-        net = kan.refine_affine(net, x_pre, y_pre)
+    net = kan.refine_affine(net, x_pre, y_pre)
     tree = kan.extract_formula(net)
     formula_str = symbolic.print_expression(tree, precision=6)
 

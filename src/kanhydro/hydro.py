@@ -19,8 +19,6 @@ from .errors import (
     DataValidationError,
     InvalidArgumentError,
     LengthMismatchError,
-    NonFiniteObjectiveError,
-    OptimizerFailureError,
 )
 from .optim import OptimOptions, bfgs_minimize
 
@@ -200,11 +198,8 @@ def fit_parametric(family: str, xs, ys, x0) -> AridityModel:
             g[k] = (fh - fl) / (2 * h) if np.isfinite(fh) and np.isfinite(fl) else 0.0
         return g
 
-    try:
-        res = bfgs_minimize(objective, grad, x0,
-                            OptimOptions(max_iters=400, grad_tol=1e-10))
-    except NonFiniteObjectiveError as exc:
-        raise OptimizerFailureError(str(exc), best=AridityModel(family, x0)) from exc
+    res = bfgs_minimize(objective, grad, x0,
+                        OptimOptions(max_iters=400, grad_tol=1e-10))
     return AridityModel(family, res.x_star)
 
 

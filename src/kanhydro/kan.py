@@ -5,7 +5,9 @@ Each edge evaluates ``w_b * silu(x) + w_c * sum_i c_i B_i(x)`` (the edge form
 of Liu et al. 2024, "KAN: Kolmogorov-Arnold Networks", arXiv:2404.19756) until
 it is locked to a symbolic candidate, after which it evaluates
 ``c*f(a*x + b) + d``. One loop, ``_forward``, evaluates every edge; training,
-grid adaptation, importances and snapping all go through it.
+grid adaptation, importances and snapping all go through it. One minimiser,
+``_minimize_free``, runs BFGS on the free parameters for both ``train`` and
+``refine_affine``.
 The trainable-parameter flattening order is layer-major, then (out_idx,
 in_idx), then ``[w_b, w_c, c_0, ...]`` for spline edges or ``[a, b, c, d]``
 for locked ones.
@@ -27,8 +29,6 @@ from .errors import (
     DomainViolationError,
     InvalidArgumentError,
     InvalidShapeError,
-    NonFiniteObjectiveError,
-    OptimizerFailureError,
     UnlockedEdgesError,
 )
 from .optim import OptimOptions, bfgs_minimize, shared_evaluation
@@ -249,7 +249,7 @@ def layer0_inputs(net: KanNetwork, xs: np.ndarray) -> list:
     ``_spline_inputs`` with derivatives, or None for a locked edge.
 
     Layer-0 inputs are the data, so these stay valid for as long as the data
-    and the layer-0 grids do: a whole ``train`` call.
+    and the layer-0 grids do: a whole ``_minimize_free`` call.
     """
     return [[None if e.lock is not None
              else _spline_inputs(e.grid, xs[:, i], want_grad=True)
@@ -381,10 +381,10 @@ def loss_and_gradient(net: KanNetwork, xs, ys, lam: float, *, _layer0=None):
     magnitudes + their entropy), and its analytic gradient (reverse
     accumulation). An overflowing loss is inf, with a NaN gradient.
 
-    ``_layer0`` is for ``train`` only: ``layer0_inputs(net, xs)`` computed
-    earlier for the same xs and layer-0 grids, which saves rebuilding the
-    layer-0 bases. It is not checked against either; a stale one gives a
-    wrong loss and gradient.
+    ``_layer0`` is for ``_minimize_free`` only: ``layer0_inputs(net, xs)``
+    computed earlier for the same xs and layer-0 grids, which saves
+    rebuilding the layer-0 bases. It is not checked against either; a stale
+    one gives a wrong loss and gradient.
     """
     if lam < 0:
         raise InvalidArgumentError("lambda must be >= 0")
@@ -465,20 +465,43 @@ def adapt_grids(net: KanNetwork, xs) -> KanNetwork:
     return net
 
 
-def train(net: KanNetwork, xs, ys, lam: float,
-          opts: OptimOptions | None = None) -> KanNetwork:
-    """Full-batch BFGS minimization of the regularized loss."""
+def _minimize_free(net: KanNetwork, xs, ys, lam: float,
+                   opts: OptimOptions | None) -> KanNetwork:
+    """BFGS on a clone's free parameters, every spline edge's and every
+    unfrozen lock's, against the loss of ``loss_and_gradient``. A lock
+    evaluated outside its candidate's domain is an inf wall. With nothing
+    free, the clone is returned as it is."""
     net = net.clone()
     xs, ys = _check_batch(net, xs, ys)
+    edges = [e for _, _, _, e in net.iter_edges()]
+    free = np.repeat([e.lock is None or not e.lock.frozen for e in edges],
+                     [e.num_params for e in edges])
+    if not free.any():
+        return net
+    base = net.get_params()
     layer0 = layer0_inputs(net, xs)  # the parameters move, the grids do not
 
-    def loss_grad(p):
+    def loss_grad(sub):
+        p = base.copy()
+        p[free] = sub
         net.set_params(p)
-        return loss_and_gradient(net, xs, ys, lam, _layer0=layer0)
+        try:
+            loss, grad = loss_and_gradient(net, xs, ys, lam, _layer0=layer0)
+        except DomainViolationError:
+            return np.inf, None
+        return loss, grad[free]
 
-    res = bfgs_minimize(*shared_evaluation(loss_grad), net.get_params(), opts)
-    net.set_params(res.x_star)
+    res = bfgs_minimize(*shared_evaluation(loss_grad), base[free], opts)
+    base[free] = res.x_star
+    net.set_params(base)
     return net
+
+
+def train(net: KanNetwork, xs, ys, lam: float,
+          opts: OptimOptions | None = None) -> KanNetwork:
+    """Full-batch BFGS minimization of the regularized loss; frozen locks
+    stay put."""
+    return _minimize_free(net, xs, ys, lam, opts)
 
 
 def edge_importances(net: KanNetwork, xs) -> np.ndarray:
@@ -539,47 +562,13 @@ def snap_edge(net: KanNetwork, layer: int, out_idx: int, in_idx: int, xs,
 
 
 def refine_affine(net: KanNetwork, xs, ys) -> KanNetwork:
-    """BFGS re-optimization of non-frozen lock parameters against RMSE."""
-    xs, ys = _check_batch(net, xs, ys)
-    locked = [idx for idx, (_, _, _, e) in enumerate(net.iter_edges())
-              if e.lock is not None]
-    if not locked:
-        raise InvalidArgumentError("refine_affine requires a locked edge")
-    net = net.clone()
-
-    # flat indices of the refinable (a, b, c, d) slots
-    slots = []
-    pos = 0
-    for _, _, _, e in net.iter_edges():
-        if e.lock is not None and not e.lock.frozen:
-            slots.extend(range(pos, pos + 4))
-        pos += e.num_params
-    if not slots:
-        return net
-    slots = np.array(slots)
-    base = net.get_params()
-
-    def loss_grad(sub):
-        p = base.copy()
-        p[slots] = sub
-        net.set_params(p)
-        try:
-            loss, grad = loss_and_gradient(net, xs, ys, 0.0)
-        except DomainViolationError:
-            return np.inf, None
-        return loss, grad[slots]
-
-    objective, grad = shared_evaluation(loss_grad)
-    x0 = base[slots]
-    f0 = objective(x0)
-    try:
-        res = bfgs_minimize(objective, grad, x0, OptimOptions(max_iters=200))
-    except NonFiniteObjectiveError as exc:  # surface the starting point
-        raise OptimizerFailureError(str(exc), best=x0) from exc
-    p = base.copy()
-    p[slots] = res.x_star if res.f_star <= f0 else x0
-    net.set_params(p)
-    return net
+    """BFGS re-optimization of a fully locked network's unfrozen lock
+    parameters against RMSE."""
+    unlocked = [(l, j, i) for l, j, i, e in net.iter_edges() if e.lock is None]
+    if unlocked:
+        raise InvalidArgumentError(
+            f"refine_affine requires every edge locked; unlocked: {unlocked}")
+    return _minimize_free(net, xs, ys, 0.0, OptimOptions(max_iters=200))
 
 
 def extract_formula(net: KanNetwork):

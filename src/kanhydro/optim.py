@@ -427,19 +427,15 @@ def fit_affine_wrap(f, xs, ys, ab_grid: AffineSearchGrid | None = None, *,
             2.0 * float(r.sum()) / n,
         ])
 
-    a, b, cc, dd = p0
     # f may overflow or leave its domain anywhere along the search; the
     # objective turns that into inf, so floating-point errors are expected
     with np.errstate(all="ignore"):
-        best_sse = objective(p0) * n
         try:
             res = bfgs_minimize(objective, grad, p0,
                                 grid.polish
                                 or OptimOptions(max_iters=100, grad_tol=1e-10))
-            if np.isfinite(res.f_star) and res.f_star * n <= best_sse:
-                a, b, cc, dd = res.x_star
-                best_sse = res.f_star * n
-        except NonFiniteObjectiveError:
-            pass
+            (a, b, cc, dd), best_sse = res.x_star, res.f_star * n
+        except NonFiniteObjectiveError:  # keep the coarse start
+            (a, b, cc, dd), best_sse = p0, np.inf
 
     return float(a), float(b), float(cc), float(dd), float(fit_r2(best_sse, ys))

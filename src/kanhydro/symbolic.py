@@ -10,13 +10,13 @@ from .errors import (
     DomainViolationError,
     ExpressionParseError,
     InvalidArgumentError,
-    LengthMismatchError,
     NoValidCandidateError,
 )
 from .optim import (
     AffineSearchGrid,
     CoarseGrid,
     ZERO_VARIANCE_TOL,
+    _check_samples,
     affine_start,
     fit_affine_wrap,
     fit_r2,
@@ -197,13 +197,7 @@ def rank_candidates(xs, ys,
     Every candidate gets the coarse (a, b) pass; the POLISH_TOP_K best of
     those starts get the BFGS polish as well.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape:
-        raise LengthMismatchError("xs and ys must have equal length")
-    if xs.size < 4:
-        raise InvalidArgumentError("need at least 4 samples")
-
+    xs, ys = _check_samples(xs, ys)
     if float(np.var(ys)) < ZERO_VARIANCE_TOL:
         # constant target: the zero candidate with offset d wins by convention
         return SnapResult([(_ZERO.name, 1.0, 0.0, 0.0, float(ys.mean()), 1.0)])

@@ -12,6 +12,7 @@ from kanhydro.errors import (
     DimMismatchError,
     InvalidArgumentError,
     InvalidShapeError,
+    NonFiniteObjectiveError,
     UnlockedEdgesError,
 )
 from kanhydro.kan import (
@@ -358,6 +359,21 @@ class TestRefine:
         with pytest.raises(InvalidArgumentError):
             refine_affine(net, np.zeros((5, 1)), np.zeros(5))
 
+    def test_partly_locked_rejected_naming_edge(self):
+        net = init_network([1, 2, 1], 3, seed=0)
+        for l, j, i in [(0, 0, 0), (0, 1, 0), (1, 0, 0)]:
+            lock_edge(net, l, j, i, "x", 1.0, 0.0, 1.0, 0.0)
+        with pytest.raises(InvalidArgumentError, match=r"\(1, 0, 1\)"):
+            refine_affine(net, np.zeros((5, 1)), np.zeros(5))
+
+    def test_infinite_start_raises(self):
+        # log of a negative argument: the starting loss is an inf wall
+        net = init_network([1, 1], 3, seed=0)
+        lock_edge(net, 0, 0, 0, "log", 1.0, 0.0, 1.0, 0.0)
+        xs = np.linspace(-2.0, -1.0, 10).reshape(-1, 1)
+        with pytest.raises(NonFiniteObjectiveError):
+            refine_affine(net, xs, np.zeros(10))
+
     def test_frozen_zero_locks_untouched(self):
         net = init_network([1, 2, 1], 3, seed=0)
         xs = np.linspace(-2, 2, 40).reshape(-1, 1)
@@ -448,3 +464,20 @@ class TestTraining:
         after = loss(trained, xs, ys, 1e-3)
         assert after < before
         assert loss(trained, xs, ys) < 0.01
+
+    def test_frozen_locks_bit_identical(self):
+        # hidden node 1 zero-locked as prune leaves a dead node; the penalty
+        # gradient reaches the frozen locks' offsets, which must not move
+        xs = np.linspace(-2, 2, 40).reshape(-1, 1)
+        ys = np.tanh(xs[:, 0])
+        net = adapt_grids(init_network([1, 2, 1], 3, seed=0), xs)
+        for l, j, i in [(0, 1, 0), (1, 0, 1)]:
+            net.layers[l].edges[j][i].lock = zero_lock()
+        trained = kan.train(net, xs, ys, 1e-3)
+        for (_, _, _, e), (_, _, _, t) in zip(net.iter_edges(),
+                                              trained.iter_edges()):
+            if e.lock is not None:
+                assert ((t.lock.a, t.lock.b, t.lock.c, t.lock.d)
+                        == (e.lock.a, e.lock.b, e.lock.c, e.lock.d))
+            else:
+                assert t.w_b != e.w_b  # the spline edges did train
