@@ -94,6 +94,9 @@ def _model_callable(spec: str):
 
 
 def _cmd_evaluate(args) -> int:
+    if args.repeats < 0:
+        raise InvalidArgumentError(
+            f"--repeats must be >= 0, got {args.repeats}")
     ds = hydro.load_catchments(args.data, strict=args.strict)
     fn, default_target = _model_callable(args.model)
     target = args.target or default_target

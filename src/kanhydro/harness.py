@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -62,6 +63,30 @@ class GridSearchConfig:
             raise InvalidArgumentError("split_ratio must be in (0, 1)")
         if not (self.shapes and self.grid_intervals and self.seeds):
             raise InvalidArgumentError("hyperparameter lists must be nonempty")
+        for shape in self.shapes:
+            if not (isinstance(shape, (list, tuple)) and len(shape) >= 2):
+                raise InvalidArgumentError(
+                    f"config key 'shapes' must hold lists of at least 2 "
+                    f"widths, got {shape!r}")
+        for key, values, least in (
+                ("shapes", [w for shape in self.shapes for w in shape], 1),
+                ("grid_intervals", self.grid_intervals, 1),
+                ("seeds", self.seeds, 0),
+                ("split_seed", [self.split_seed], 0),
+                ("train_max_iters", [self.train_max_iters], 1)):
+            for value in values:
+                if (isinstance(value, bool)
+                        or not isinstance(value, numbers.Integral)
+                        or value < least):
+                    raise InvalidArgumentError(
+                        f"config key {key!r} must hold integers >= {least}, "
+                        f"got {value!r}")
+        for key in ("lambda_", "prune_threshold"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InvalidArgumentError(
+                    f"config key {key!r} must be finite and >= 0, "
+                    f"got {value!r}")
 
     @staticmethod
     def from_json(text) -> "GridSearchConfig":
@@ -219,6 +244,11 @@ def grid_search(config: GridSearchConfig, x_train, y_train, *,
     """
     x_train = np.asarray(x_train, dtype=float).reshape(len(y_train), -1)
     y_train = np.asarray(y_train, dtype=float)
+    for shape in config.shapes:
+        if shape[0] != x_train.shape[1] or shape[-1] != 1:
+            raise InvalidArgumentError(
+                f"config key 'shapes': {list(shape)!r} must start with the "
+                f"{x_train.shape[1]} input column(s) and end with 1 output")
     points = [HyperPoint(list(s), g, sd) for s, g, sd in
               itertools.product(config.shapes, config.grid_intervals,
                                 config.seeds)]

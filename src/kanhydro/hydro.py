@@ -180,13 +180,16 @@ def fit_parametric(family: str, xs, ys, x0) -> AridityModel:
     if xs.size < count:
         raise InvalidArgumentError("need at least as many samples as parameters")
 
-    def objective(p):
+    def rmse(p):
         r = fn(p, xs) - ys
         if not np.all(np.isfinite(r)):
             return np.inf
         return float(np.sqrt(np.mean(r ** 2)))
 
-    def grad(p):
+    def fun(p):
+        f = rmse(p)
+        if not np.isfinite(f):
+            return f, None
         # central finite differences; family formulas are cheap and low-dim
         g = np.zeros_like(p)
         for k in range(p.size):
@@ -194,12 +197,11 @@ def fit_parametric(family: str, xs, ys, x0) -> AridityModel:
             hi, lo = p.copy(), p.copy()
             hi[k] += h
             lo[k] -= h
-            fh, fl = objective(hi), objective(lo)
+            fh, fl = rmse(hi), rmse(lo)
             g[k] = (fh - fl) / (2 * h) if np.isfinite(fh) and np.isfinite(fl) else 0.0
-        return g
+        return f, g
 
-    res = bfgs_minimize(objective, grad, x0,
-                        OptimOptions(max_iters=400, grad_tol=1e-10))
+    res = bfgs_minimize(fun, x0, OptimOptions(max_iters=400, grad_tol=1e-10))
     return AridityModel(family, res.x_star)
 
 

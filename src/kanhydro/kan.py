@@ -31,7 +31,7 @@ from .errors import (
     InvalidShapeError,
     UnlockedEdgesError,
 )
-from .optim import OptimOptions, bfgs_minimize, shared_evaluation
+from .optim import OptimOptions, bfgs_minimize
 from .symbolic import (
     AffineSearchGrid,
     CandidateFunction,
@@ -491,7 +491,7 @@ def _minimize_free(net: KanNetwork, xs, ys, lam: float,
             return np.inf, None
         return loss, grad[free]
 
-    res = bfgs_minimize(*shared_evaluation(loss_grad), base[free], opts)
+    res = bfgs_minimize(loss_grad, base[free], opts)
     base[free] = res.x_star
     net.set_params(base)
     return net

@@ -1,5 +1,9 @@
 """Deterministic BFGS with strong Wolfe line search, plus affine curve fitting.
 
+The minimiser takes one callback, ``fun(x) -> (f, g)``: the objective and
+its gradient from one evaluation. g is not read where f is not finite, so
+``(inf, None)`` marks a point outside the objective's domain.
+
 Everything here is pure and seed-free: identical inputs give bit-identical
 results, which the grid-search harness relies on for reproducible sweeps.
 """
@@ -73,87 +77,68 @@ def _interpolate(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi=None):
     return a_lo + 0.5 * span
 
 
-def _zoom(phi, dphi, a_lo, a_hi, f_lo, d_lo, f_hi, d_hi, f0, d0):
-    """Nocedal-Wright zoom; returns (alpha, f, grad_dot) or None."""
+def _zoom(probe, a_lo, a_hi, f_lo, g_lo, d_lo, f_hi, d_hi, f0, d0):
+    """Nocedal-Wright zoom; returns (alpha, f, g) or None."""
     for _ in range(MAX_LINE_SEARCH_STEPS):
         lo, hi = (a_lo, a_hi) if a_lo < a_hi else (a_hi, a_lo)
         width = hi - lo
         a = _interpolate(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi)
         if not (lo + 0.1 * width <= a <= hi - 0.1 * width):
             a = 0.5 * (a_lo + a_hi)
-        fa = phi(a)
+        fa, ga, da = probe(a)
         if not np.isfinite(fa) or fa > f0 + WOLFE_C1 * a * d0 or fa >= f_lo:
             a_hi, f_hi, d_hi = a, fa, None
         else:
-            da = dphi(a)
             if abs(da) <= -WOLFE_C2 * d0:
-                return a, fa, da
+                return a, fa, ga
             if da * (a_hi - a_lo) >= 0.0:
                 a_hi, f_hi, d_hi = a_lo, f_lo, d_lo
-            a_lo, f_lo, d_lo = a, fa, da
+            a_lo, f_lo, g_lo, d_lo = a, fa, ga, da
         if abs(a_hi - a_lo) < 1e-16 * max(1.0, abs(a_lo)):
             break
     if f_lo < f0 and a_lo > 0.0:
-        return a_lo, f_lo, d_lo
+        return a_lo, f_lo, g_lo
     return None
 
 
-def _line_search_wolfe(phi, dphi, f0, d0):
-    """Strong Wolfe line search. Returns (alpha, f, grad_dot) or None."""
-    a_prev, f_prev, d_prev = 0.0, f0, d0
+def _line_search_wolfe(probe, f0, g0, d0):
+    """Strong Wolfe line search from the point with value f0, gradient g0
+    and slope d0. Returns (alpha, f, g) or None."""
+    a_prev, f_prev, g_prev, d_prev = 0.0, f0, g0, d0
     a = 1.0
     for it in range(MAX_LINE_SEARCH_STEPS):
-        fa = phi(a)
+        fa, ga, da = probe(a)
         if not np.isfinite(fa):
             a = 0.5 * (a_prev + a)
             continue
         if fa > f0 + WOLFE_C1 * a * d0 or (it > 0 and fa >= f_prev):
-            return _zoom(phi, dphi, a_prev, a, f_prev, d_prev, fa, None,
+            return _zoom(probe, a_prev, a, f_prev, g_prev, d_prev, fa, None,
                          f0, d0)
-        da = dphi(a)
         if abs(da) <= -WOLFE_C2 * d0:
-            return a, fa, da
+            return a, fa, ga
         if da >= 0.0:
-            return _zoom(phi, dphi, a, a_prev, fa, da, f_prev, d_prev,
+            return _zoom(probe, a, a_prev, fa, ga, da, f_prev, d_prev,
                          f0, d0)
-        a_prev, f_prev, d_prev = a, fa, da
+        a_prev, f_prev, g_prev, d_prev = a, fa, ga, da
         a = 2.0 * a
     return None
 
 
-def _last_call(fun):
-    """``fun`` of an array, remembering its result at the latest point."""
-    last: dict[bytes, object] = {}
+def bfgs_minimize(fun, x0, opts: OptimOptions | None = None) -> OptimResult:
+    """Minimize with BFGS; accepted iterates never increase the objective.
 
-    def at(x):
-        key = x.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = fun(x)
-        return last[key]
-
-    return at
-
-
-def shared_evaluation(fun):
-    """Split ``fun(x) -> (f, g)`` into objective and gradient callbacks.
-
-    The line search asks for the objective and then the gradient at one
-    point; the gradient callback reuses the call the objective made there.
+    ``fun(x)`` returns ``(f, g)``, the objective and its gradient at x, from
+    one evaluation. g is not read where f is not finite: ``(inf, None)`` is
+    a wall the line search steps back from.
     """
-    at = _last_call(fun)
-    return (lambda x: at(x)[0]), (lambda x: at(x)[1])
-
-
-def bfgs_minimize(objective, gradient, x0, opts: OptimOptions | None = None) -> OptimResult:
-    """Minimize with BFGS; accepted iterates never increase the objective."""
     opts = opts or OptimOptions()
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    f = float(objective(x))
+    f, g = fun(x)
+    f = float(f)
     if not np.isfinite(f):
         raise NonFiniteObjectiveError(f"objective is {f} at x0")
-    g = np.asarray(gradient(x), dtype=float)
+    g = np.asarray(g, dtype=float)
     h_inv = np.eye(n)
     status = STATUS_MAX_ITERS
     iterations = 0
@@ -171,26 +156,21 @@ def bfgs_minimize(objective, gradient, x0, opts: OptimOptions | None = None) -> 
                 status = STATUS_CONVERGED_GRAD
                 break
 
-        # line search along p; gradient at the accepted point is recomputed
-        # once more below only if needed
-        g_cache = {}
+        def probe(a):
+            """(f, g, slope along p) at x + a*p; (f, None, None) where f is
+            not finite."""
+            fa, ga = fun(x + a * p)
+            fa = float(fa)
+            if not np.isfinite(fa):
+                return fa, None, None
+            ga = np.asarray(ga, dtype=float)
+            return fa, ga, float(ga @ p)
 
-        def phi(a):
-            return float(objective(x + a * p))
-
-        def dphi(a):
-            ga = np.asarray(gradient(x + a * p), dtype=float)
-            g_cache[a] = ga
-            return float(ga @ p)
-
-        res = _line_search_wolfe(phi, dphi, f, d0)
+        res = _line_search_wolfe(probe, f, g, d0)
         if res is None:
             status = STATUS_LINE_SEARCH_FAILURE
             break
-        alpha, f_new, _ = res
-        g_new = g_cache.get(alpha)
-        if g_new is None:
-            g_new = np.asarray(gradient(x + alpha * p), dtype=float)
+        alpha, f_new, g_new = res
         s = alpha * p
         y = g_new - g
         x = x + s
@@ -210,8 +190,6 @@ def bfgs_minimize(objective, gradient, x0, opts: OptimOptions | None = None) -> 
         if 0.0 <= f_drop <= opts.f_rel_tol * max(1.0, abs(f + f_drop)):
             status = STATUS_CONVERGED_F
             break
-    else:
-        status = STATUS_MAX_ITERS
     if np.max(np.abs(g)) <= opts.grad_tol and status == STATUS_MAX_ITERS:
         status = STATUS_CONVERGED_GRAD
     return OptimResult(x_star=x, f_star=f, iterations=iterations, status=status)
@@ -396,43 +374,32 @@ def fit_affine_wrap(f, xs, ys, ab_grid: AffineSearchGrid | None = None, *,
 
     n = xs.size
 
-    # not shared_evaluation: that would also evaluate deriv at every line
-    # search probe, where most points never get asked for a gradient
-    @_last_call
-    def f_at(p):
-        """(in domain, f(a*x + b), a*x + b) at p; the gradient reuses the
-        objective's evaluation at the same point."""
+    def fun(p):
+        """Mean squared residual and its gradient at p = [a, b, c, d]; inf
+        where a*x + b leaves f's domain or the SSE is not finite."""
         uu = p[0] * xs + p[1]
-        return bool(domain(uu).all()), f(uu), uu
-
-    def objective(p):
-        ok, fu, _ = f_at(p)
-        if not ok:
-            return np.inf
-        r = p[2] * fu + p[3] - ys
-        sse = float(r @ r)  # not finite iff fu is not, or it overflowed
-        return sse / n if np.isfinite(sse) else np.inf
-
-    def grad(p):
-        # asked for only where the objective is finite, so fu is finite
-        _, fu, uu = f_at(p)
+        if not domain(uu).all():
+            return np.inf, None
+        fu = f(uu)
         cc, dd = p[2], p[3]
+        r = cc * fu + dd - ys
+        sse = float(r @ r)  # not finite iff fu is not, or it overflowed
+        if not np.isfinite(sse):
+            return np.inf, None
         fpu = deriv(uu)
         fpu = np.where(np.isfinite(fpu), fpu, 0.0)
-        r = cc * fu + dd - ys
-        return np.array([
+        return sse / n, np.array([
             2.0 * float(r @ (cc * fpu * xs)) / n,
             2.0 * float(r @ (cc * fpu)) / n,
             2.0 * float(r @ fu) / n,
             2.0 * float(r.sum()) / n,
         ])
 
-    # f may overflow or leave its domain anywhere along the search; the
-    # objective turns that into inf, so floating-point errors are expected
+    # f may overflow or leave its domain anywhere along the search, and
+    # fun turns that into inf, so floating-point errors are expected
     with np.errstate(all="ignore"):
         try:
-            res = bfgs_minimize(objective, grad, p0,
-                                grid.polish
+            res = bfgs_minimize(fun, p0, grid.polish
                                 or OptimOptions(max_iters=100, grad_tol=1e-10))
             (a, b, cc, dd), best_sse = res.x_star, res.f_star * n
         except NonFiniteObjectiveError:  # keep the coarse start

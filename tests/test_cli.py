@@ -54,6 +54,13 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--data", "/no/such.csv",
                          "--model", "kan_fb"]) == 1
 
+    def test_negative_repeats_rejected(self, data_file, capsys):
+        assert cli.main(["evaluate", "--data", data_file, "--model",
+                         "kan_fb", "--repeats", "-2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--repeats" in err and "-2" in err
+
 
 class TestGoldenOutput:
     """Byte-for-byte output of the row writers on a small fixed table: a
@@ -298,3 +305,19 @@ class TestFit:
                              "qb_over_p", "--config", str(config),
                              "--out", str(tmp_path / "o")]) == 1
             assert f"error: {config}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"seeds": [-1]}, "'seeds'"),
+        ({"lambda_": float("nan")}, "'lambda_'"),
+        ({"shapes": [[2, 1]], "folds": 2}, "'shapes'"),
+    ])
+    def test_bad_config_value(self, data_file, tmp_path, capsys, doc, named):
+        # out-of-range values, and a shape that does not fit the data, exit
+        # 1 naming the key before any fit runs
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["fit", "--data", data_file, "--target",
+                         "qb_over_p", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -2,13 +2,18 @@
 
 import io
 import json
+import re
 import time
 
 import numpy as np
 import pytest
 
 from kanhydro import harness, hydro, kan, metrics
-from kanhydro.errors import InvalidArgumentError, TooSmallDatasetError
+from kanhydro.errors import (
+    DomainViolationError,
+    InvalidArgumentError,
+    TooSmallDatasetError,
+)
 from kanhydro.harness import (
     FitReport,
     GridSearchConfig,
@@ -169,13 +174,31 @@ class TestGridSearch:
         assert chosen["mean_r2"] == max(means)
         assert all(len(row["fold_r2"]) == cfg.folds for row in table)
 
-    def test_failed_point_scores_neg_inf(self):
+    def test_failed_point_scores_neg_inf(self, monkeypatch):
+        def failing(x_pre, y_pre, x_val, y_val, hp, **kwargs):
+            if hp.shape == [1, 2, 1]:
+                raise DomainViolationError("a job failure")
+            return run_pipeline(x_pre, y_pre, x_val, y_val, hp, **kwargs)
+
+        monkeypatch.setattr(harness, "run_pipeline", failing)
         phi, ys = synth(100)
-        cfg = small_config(shapes=[[1, 1], [1]])  # [1] is unusable
+        cfg = small_config(shapes=[[1, 1], [1, 2, 1]])
         best, table = grid_search(cfg, phi, ys)
         assert best.shape == [1, 1]
-        bad = next(row for row in table if row["shape"] == [1])
+        bad = next(row for row in table if row["shape"] == [1, 2, 1])
         assert bad["mean_r2"] == -np.inf
+
+    @pytest.mark.parametrize("shape", [[2, 1], [1, 2]])
+    def test_shape_not_fitting_the_data_rejected_before_any_job(
+            self, monkeypatch, shape):
+        def broken(*args, **kwargs):
+            raise TypeError("a job ran")
+
+        monkeypatch.setattr(harness, "run_pipeline", broken)
+        phi, ys = synth(100)
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"'shapes': {shape!r}")):
+            grid_search(small_config(shapes=[[1, 1], shape]), phi, ys)
 
     def test_programming_error_escapes(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -261,6 +284,20 @@ class TestConfig:
         ('{"folds": true}', "'folds' must be int"),
         ('{"lambda_": "0.1"}', "'lambda_' must be float"),
         ('{"shapes": 3}', "'shapes' must be list"),
+        ('{"shapes": [[1]]}', r"'shapes'.*\[1\]"),
+        ('{"shapes": [[1, "a"]]}', "'shapes'.*'a'"),
+        ('{"shapes": [[1, 1.5]]}', "'shapes'.*1.5"),
+        ('{"shapes": [[0, 1]]}', "'shapes'.*0"),
+        ('{"grid_intervals": [0]}', "'grid_intervals'.*0"),
+        ('{"grid_intervals": [true]}', "'grid_intervals'.*True"),
+        ('{"seeds": [-1]}', "'seeds'.*-1"),
+        ('{"split_seed": -1}', "'split_seed'.*-1"),
+        ('{"lambda_": -1}', "'lambda_'.*-1"),
+        ('{"lambda_": NaN}', "'lambda_'.*nan"),
+        ('{"prune_threshold": -0.5}', "'prune_threshold'.*-0.5"),
+        ('{"prune_threshold": Infinity}', "'prune_threshold'.*inf"),
+        ('{"train_max_iters": -5}', "'train_max_iters'.*-5"),
+        ('{"train_max_iters": 0}', "'train_max_iters'.*0"),
     ])
     def test_from_json_rejects_malformed(self, text, message):
         with pytest.raises(InvalidArgumentError, match=message):

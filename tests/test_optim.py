@@ -19,63 +19,47 @@ def dtanh(u):
     return 1.0 - np.tanh(u) ** 2
 
 
+def rosenbrock(p):
+    x, y = p
+    return (float((1 - x) ** 2 + 100 * (y - x**2) ** 2),
+            np.array([-2 * (1 - x) - 400 * x * (y - x**2),
+                      200 * (y - x**2)]))
+
+
 class TestBfgs:
     def test_quadratic_converges_fast(self):
         target = np.array([1.0, -2.0, 3.0])
 
-        def f(x):
-            return float(np.sum((x - target) ** 2))
+        def fun(x):
+            return float(np.sum((x - target) ** 2)), 2.0 * (x - target)
 
-        def g(x):
-            return 2.0 * (x - target)
-
-        res = optim.bfgs_minimize(f, g, np.zeros(3))
+        res = optim.bfgs_minimize(fun, np.zeros(3))
         assert res.x_star == pytest.approx(target, abs=1e-8)
         assert res.iterations <= 5
 
     def test_rosenbrock(self):
-        def f(p):
-            x, y = p
-            return float((1 - x) ** 2 + 100 * (y - x**2) ** 2)
-
-        def g(p):
-            x, y = p
-            return np.array([-2 * (1 - x) - 400 * x * (y - x**2),
-                             200 * (y - x**2)])
-
-        res = optim.bfgs_minimize(f, g, np.array([-1.2, 1.0]))
+        res = optim.bfgs_minimize(rosenbrock, np.array([-1.2, 1.0]))
         assert res.x_star == pytest.approx([1.0, 1.0], abs=1e-6)
 
     def test_already_optimal(self):
-        res = optim.bfgs_minimize(lambda x: float(x @ x),
-                                  lambda x: 2.0 * x, np.zeros(2))
+        res = optim.bfgs_minimize(lambda x: (float(x @ x), 2.0 * x),
+                                  np.zeros(2))
         assert res.status == optim.STATUS_CONVERGED_GRAD
         assert res.iterations == 0
 
     def test_nonfinite_start(self):
         with pytest.raises(NonFiniteObjectiveError):
-            optim.bfgs_minimize(lambda x: np.inf, lambda x: x, np.zeros(2))
+            optim.bfgs_minimize(lambda x: (np.inf, None), np.zeros(2))
 
     def test_monotone_objective(self):
         seen = []
 
-        def f(p):
-            x, y = p
-            return float((1 - x) ** 2 + 100 * (y - x**2) ** 2)
-
-        def g(p):
-            x, y = p
-            return np.array([-2 * (1 - x) - 400 * x * (y - x**2),
-                             200 * (y - x**2)])
-
-        base_f = f
-
         def tracking(p):
-            v = base_f(p)
+            v, g = rosenbrock(p)
             seen.append(v)
-            return v
+            return v, g
 
-        res = optim.bfgs_minimize(tracking, g, np.array([-1.2, 1.0]))
+        res = optim.bfgs_minimize(tracking, np.array([-1.2, 1.0]))
         # the accepted iterate never exceeds the start value
         assert res.f_star <= seen[0]
 
@@ -83,25 +67,45 @@ class TestBfgs:
         def f(x):
             return float(x @ x + 1.0)
 
-        res = optim.bfgs_minimize(f, lambda x: 2.0 * x, np.array([3.0, -4.0]))
+        res = optim.bfgs_minimize(lambda x: (f(x), 2.0 * x),
+                                  np.array([3.0, -4.0]))
         assert res.f_star == pytest.approx(f(res.x_star))
         assert res.f_star <= f(np.array([3.0, -4.0]))
 
     def test_determinism(self):
-        def f(p):
-            x, y = p
-            return float((1 - x) ** 2 + 100 * (y - x**2) ** 2)
-
-        def g(p):
-            x, y = p
-            return np.array([-2 * (1 - x) - 400 * x * (y - x**2),
-                             200 * (y - x**2)])
-
-        r1 = optim.bfgs_minimize(f, g, np.array([-1.2, 1.0]))
-        r2 = optim.bfgs_minimize(f, g, np.array([-1.2, 1.0]))
+        r1 = optim.bfgs_minimize(rosenbrock, np.array([-1.2, 1.0]))
+        r2 = optim.bfgs_minimize(rosenbrock, np.array([-1.2, 1.0]))
         assert np.array_equal(r1.x_star, r2.x_star)
         assert r1.f_star == r2.f_star
         assert r1.iterations == r2.iterations
+
+    def test_inf_outside_a_ball_is_a_wall(self):
+        # the curvature makes the first full step leave the unit ball, where
+        # fun cannot be evaluated; BFGS must step back inside and converge,
+        # never reading a gradient it was not given
+        target = np.array([0.5, 0.0])
+
+        def fun(x):
+            if x @ x > 1.0:
+                return np.inf, None
+            return 5.0 * float((x - target) @ (x - target)), 10.0 * (x - target)
+
+        x0 = np.array([-0.5, 0.5])
+        assert not np.isfinite(fun(x0 - 10.0 * (x0 - target))[0])
+        res = optim.bfgs_minimize(fun, x0)
+        assert res.status == optim.STATUS_CONVERGED_GRAD
+        assert res.x_star == pytest.approx(target, abs=1e-8)
+
+    def test_no_point_is_evaluated_twice(self):
+        calls = []
+
+        def counting(p):
+            calls.append(p.tobytes())
+            return rosenbrock(p)
+
+        res = optim.bfgs_minimize(counting, np.array([-1.2, 1.0]))
+        assert res.iterations > 10
+        assert len(calls) == len(set(calls))
 
     def test_bad_options(self):
         with pytest.raises(InvalidArgumentError):
