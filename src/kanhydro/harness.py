@@ -372,9 +372,16 @@ def emit_plot_data(models, ds, phi_spec, out_path) -> str:
     (lo, hi, step). Returns the scatter companion path.
     """
     lo, hi, step = phi_spec
+    if not all(math.isfinite(v) for v in phi_spec):
+        raise InvalidArgumentError(
+            f"phi grid bounds and step must be finite, got {phi_spec}")
     if not (lo < hi and step > 0):
         raise InvalidArgumentError("need lo < hi and step > 0")
-    n = int(round((hi - lo) / step)) + 1
+    count = (hi - lo) / step
+    if not math.isfinite(count):
+        raise InvalidArgumentError(
+            f"phi grid ({hi} - {lo}) / {step} has no finite point count")
+    n = int(round(count)) + 1
     phis = np.linspace(lo, hi, n)
     curves = [np.asarray(fn(phis), dtype=float) for _, fn in models]
     write_csv(out_path, ["phi"] + [name for name, _ in models],

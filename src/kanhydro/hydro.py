@@ -332,8 +332,13 @@ def synth_generate(formula, n: int, phi_range, noise_sigma: float,
         raise InvalidArgumentError("n must be >= 1")
     if not lo < hi:
         raise InvalidArgumentError("phi range must satisfy lo < hi")
-    if noise_sigma < 0:
-        raise InvalidArgumentError("noise_sigma must be >= 0")
+    # the sampler needs a finite width hi - lo, not just finite bounds
+    if not np.isfinite(float(hi) - float(lo)):
+        raise InvalidArgumentError(
+            f"phi range ({lo}, {hi}) must be finite, with a finite width")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InvalidArgumentError(
+            f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if isinstance(formula, str):
         tree = symbolic.parse_expression(formula)
         fn = lambda p: symbolic.eval_expression(tree, p.reshape(-1, 1))

@@ -4,13 +4,17 @@ pruning, symbolic locking, and closed-form extraction.
 Each edge evaluates ``w_b * silu(x) + w_c * sum_i c_i B_i(x)`` (the edge form
 of Liu et al. 2024, "KAN: Kolmogorov-Arnold Networks", arXiv:2404.19756) until
 it is locked to a symbolic candidate, after which it evaluates
-``c*f(a*x + b) + d``. One loop, ``_forward``, evaluates every edge; training,
-grid adaptation, importances and snapping all go through it. One minimiser,
-``_minimize_free``, runs BFGS on the free parameters for both ``train`` and
-``refine_affine``.
-The trainable-parameter flattening order is layer-major, then (out_idx,
-in_idx), then ``[w_b, w_c, c_0, ...]`` for spline edges or ``[a, b, c, d]``
-for locked ones.
+``c*f(a*x + b) + d``. The trainable-parameter flattening order is
+layer-major, then (out_idx, in_idx), then ``[w_b, w_c, c_0, ...]`` for spline
+edges or ``[a, b, c, d]`` for locked ones.
+
+A layer's edges run as one pass over stacked rows (``_layer_pass``, backward
+``_layer_back``), as efficient-kan lays a layer out: edge (out_idx, in_idx)
+is row ``out_idx * in_dim + in_idx`` of its (E, N) outputs, so ``_plan`` maps
+the rows onto their blocks of the flat vector in order, and the node sums
+are one reshape-and-sum. ``_forward`` serves training, grid adaptation,
+importances and snapping; ``_minimize_free`` runs BFGS for ``train`` and
+``refine_affine``, reading the parameters from its flat vector.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ DEFAULT_ORDER = 3
 COEFF_INIT_SCALE = 0.1
 CHECKPOINT_SCHEMA = 1  # the "schema" field of to_json's document
 GRID_MARGIN = 0.1
+_GRID_FIELDS = ("domain_min", "domain_max", "num_intervals", "order")
 
 
 @dataclass
@@ -107,14 +112,9 @@ class KanNetwork:
         return sum(e.num_params for _, _, _, e in self.iter_edges())
 
     def get_params(self) -> np.ndarray:
-        out = []
-        for _, _, _, e in self.iter_edges():
-            if e.lock is not None:
-                out.extend([e.lock.a, e.lock.b, e.lock.c, e.lock.d])
-            else:
-                out.extend([e.w_b, e.w_c])
-                out.extend(e.coeffs.values.tolist())
-        return np.array(out)
+        return np.array([v for _, _, _, e in self.iter_edges() for v in (
+            (e.lock.a, e.lock.b, e.lock.c, e.lock.d) if e.lock is not None
+            else (e.w_b, e.w_c, *e.coeffs.values.tolist()))])
 
     def set_params(self, vec) -> None:
         vec = np.asarray(vec, dtype=float)
@@ -135,24 +135,13 @@ class KanNetwork:
     def to_json(self) -> str:
         edges = []
         for l, j, i, e in self.iter_edges():
-            rec = {
-                "layer": l, "out": j, "in": i,
-                "w_b": e.w_b, "w_c": e.w_c,
-                "grid": {
-                    "domain_min": e.grid.domain_min,
-                    "domain_max": e.grid.domain_max,
-                    "num_intervals": e.grid.num_intervals,
-                    "order": e.grid.order,
-                },
-                "coeffs": e.coeffs.values.tolist(),
-            }
+            rec = {"layer": l, "out": j, "in": i, "w_b": e.w_b, "w_c": e.w_c,
+                   "grid": {f: getattr(e.grid, f) for f in _GRID_FIELDS},
+                   "coeffs": e.coeffs.values.tolist()}
             if e.lock is not None:
-                rec["lock"] = {
+                rec["lock"] = {f: getattr(e.lock, f) for f in "abcd"} | {
                     "candidate": e.lock.candidate.name,
-                    "a": e.lock.a, "b": e.lock.b,
-                    "c": e.lock.c, "d": e.lock.d,
-                    "frozen": e.lock.frozen,
-                }
+                    "frozen": e.lock.frozen}
             edges.append(rec)
         doc = {"schema": CHECKPOINT_SCHEMA, "shape": list(self.shape),
                "seed": self.rng_seed, "edges": edges}
@@ -175,18 +164,24 @@ class KanNetwork:
                                seed=doc["seed"])
             lookup = {(r["layer"], r["out"], r["in"]): r
                       for r in doc["edges"]}
+            stacked = {}  # layer -> its unlocked edges' (intervals, order)
             for l, j, i, _ in net.iter_edges():
                 where = f"checkpoint edge {(l, j, i)}"
                 rec = lookup[(l, j, i)]
-                g = rec["grid"]
-                grid = bspline.make_grid(g["domain_min"], g["domain_max"],
-                                         g["num_intervals"], g["order"])
-                lock = None
+                grid = bspline.make_grid(*(rec["grid"][f]
+                                           for f in _GRID_FIELDS))
                 if "lock" in rec:
                     lk = rec["lock"]
                     lock = SymbolicLock(candidate_by_name(lk["candidate"]),
                                         lk["a"], lk["b"], lk["c"], lk["d"],
                                         frozen=lk["frozen"])
+                else:
+                    lock, key = None, (grid.num_intervals, grid.order)
+                    if stacked.setdefault(l, key) != key:
+                        raise DataValidationError(
+                            f"{where}: grid (num_intervals, order) {key} "
+                            f"differs from {stacked[l]}, its layer's other "
+                            "unlocked edges'")
                 net.layers[l].edges[j][i] = EdgeActivation(
                     rec["w_b"], rec["w_c"], grid,
                     SplineCoeffs(np.array(rec["coeffs"])), lock)
@@ -208,91 +203,146 @@ def init_network(shape, grid_intervals: int, seed: int = 0) -> KanNetwork:
     if grid_intervals < 1:
         raise InvalidArgumentError("grid_intervals must be >= 1")
     rng = np.random.default_rng(seed)
-    layers = []
-    for l in range(len(shape) - 1):
-        in_dim, out_dim = shape[l], shape[l + 1]
-        edges = []
-        for _ in range(out_dim):
-            row = []
-            for _ in range(in_dim):
-                grid = bspline.make_grid(*DEFAULT_GRID_DOMAIN,
-                                         grid_intervals, DEFAULT_ORDER)
-                coeffs = SplineCoeffs(
-                    rng.normal(0.0, COEFF_INIT_SCALE, grid.num_basis))
-                row.append(EdgeActivation(1.0, 1.0, grid, coeffs))
-            edges.append(row)
-        layers.append(KanLayer(in_dim, out_dim, edges))
+    grid = bspline.make_grid(*DEFAULT_GRID_DOMAIN, grid_intervals,
+                             DEFAULT_ORDER)
+
+    def edge():
+        return EdgeActivation(1.0, 1.0, grid, SplineCoeffs(
+            rng.normal(0.0, COEFF_INIT_SCALE, grid.num_basis)))
+
+    layers = [KanLayer(n_in, n_out, [[edge() for _ in range(n_in)]
+                                     for _ in range(n_out)])
+              for n_in, n_out in zip(shape, shape[1:])]
     return KanNetwork(layers, shape, int(seed))
 
 
-def _silu(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return x * s
+@dataclass
+class _Layer:
+    """A layer's edges as stacked rows, edge (j, i) being row j * in_dim + i
+    of its (E, N) outputs: the spline and the lock rows as ``_rows``, the
+    (lock row, candidate) pairs but the zero candidate's (0, with slope 0)
+    and, if computed, the spline rows' ``_spline_rows`` at a fixed batch."""
+
+    in_dim: int
+    out_dim: int
+    spl: tuple
+    knots: bspline.KnotStack | None
+    lck: tuple
+    live: list
+    inputs: tuple | None = None
 
 
-def _silu_deriv(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 + x * (1.0 - s))
+def _rows(layer: KanLayer, rows: list, par: list):
+    """Some edge rows of a layer as indices: the rows, the node values they
+    read and, a row each, their parameters' positions in the flat vector."""
+    def index(rs, n):  # slice(None) when rs are 0 .. n-1 in order
+        return slice(None) if rs == list(range(n)) else np.array(rs, int)
+    return (index(rows, layer.in_dim * layer.out_dim),
+            index([r % layer.in_dim for r in rows], layer.in_dim),
+            np.array(par, int).reshape(len(rows), -1 if rows else 0))
 
 
-def _spline_inputs(grid: KnotGrid, x: np.ndarray, want_grad: bool):
-    """What a spline edge computes from its input alone: the basis values and
-    silu(x), plus their derivatives when a backward pass follows."""
-    if want_grad:
-        basis, dbasis = bspline.basis_and_deriv_matrix(grid, x)
-        return basis, dbasis, _silu(x), _silu_deriv(x)
-    return bspline.basis_matrix(grid, x), None, _silu(x), None
+def _plan(net: KanNetwork, xs: np.ndarray | None = None) -> list:
+    """Each layer's ``_Layer``; with xs, layer 0's with its inputs at xs."""
+    plan, pos = [], 0
+    for layer in net.layers:
+        rows, par, grids, live = ([], []), ([], []), [], []
+        for r, e in enumerate(e for row in layer.edges for e in row):
+            locked = e.lock is not None
+            if not locked:
+                grids.append(e.grid)
+            elif e.lock.candidate.role != "zero":
+                live.append((len(rows[1]), e.lock.candidate))
+            rows[locked].append(r)
+            par[locked].append(range(pos, pos + e.num_params))
+            pos += e.num_params
+        plan.append(_Layer(layer.in_dim, layer.out_dim,
+                           _rows(layer, rows[0], par[0]),
+                           bspline.stack_grids(grids) if grids else None,
+                           _rows(layer, rows[1], par[1]), live))
+    if xs is not None and plan[0].knots is not None:
+        plan[0].inputs = _spline_rows(plan[0].knots, xs.T[plan[0].spl[1]],
+                                      True)
+    return plan
 
 
-def layer0_inputs(net: KanNetwork, xs: np.ndarray) -> list:
-    """Per layer-0 edge, indexed [out_idx][in_idx] like the edges, its
-    ``_spline_inputs`` with derivatives, or None for a locked edge.
-
-    Layer-0 inputs are the data, so these stay valid for as long as the data
-    and the layer-0 grids do: a whole ``_minimize_free`` call.
-    """
-    return [[None if e.lock is not None
-             else _spline_inputs(e.grid, xs[:, i], want_grad=True)
-             for i, e in enumerate(row)] for row in net.layers[0].edges]
-
-
-def _edge_eval(edge: EdgeActivation, x: np.ndarray, want_grad: bool,
-               inputs=None):
-    """Evaluate one edge on a batch; optionally return the backward cache.
-
-    ``inputs`` are the edge's precomputed ``_spline_inputs`` at x, if any.
-    """
-    if edge.lock is not None:
-        lk = edge.lock
-        u = lk.a * x + lk.b
-        ok = np.asarray(lk.candidate.domain(u))
-        if not np.all(ok):
-            raise DomainViolationError(
-                f"locked candidate {lk.candidate.name!r} undefined at "
-                f"argument {np.asarray(u)[~ok][:1]}")
-        fu = lk.candidate.fn(u)
-        out = lk.c * fu + lk.d
-        if not want_grad:
-            return out, None
-        return out, ("lock", fu, lk.candidate.deriv(u), x)
-    basis, dbasis, silu, dsilu = inputs or _spline_inputs(edge.grid, x,
-                                                          want_grad)
-    spl = basis @ edge.coeffs.values
-    out = edge.w_b * silu + edge.w_c * spl
+def _spline_rows(knots: bspline.KnotStack, x: np.ndarray, want_grad: bool):
+    """What spline rows compute from their inputs x (S, N) alone: the bases
+    (S, N, G + k) and silu(x), plus their derivatives if asked."""
+    shape, s = x.shape + (-1,), 1.0 / (1.0 + np.exp(-x))  # silu(x) = x * s
     if not want_grad:
-        return out, None
-    return out, ("spline", basis, dbasis, spl, silu, dsilu)
+        return bspline.basis_matrix(knots, x).reshape(shape), None, x * s, None
+    basis, dbasis = bspline.basis_and_deriv_matrix(knots, x)
+    return (basis.reshape(shape), dbasis.reshape(shape), x * s,
+            s * (1.0 + x * (1.0 - s)))
+
+
+def _layer_pass(lay: _Layer, p: np.ndarray, x: np.ndarray, want_cache: bool):
+    """A layer at flat parameters p on its node values x (in_dim, N): the
+    edge outputs (E, N), the node sums (out_dim, N) and, with want_cache,
+    what ``_layer_back`` needs."""
+    outs = np.empty((lay.out_dim * lay.in_dim, x.shape[1]))
+    cache = [None, None]
+    if lay.knots is not None:
+        at, src, par = lay.spl
+        basis, dbasis, silu, dsilu = lay.inputs or _spline_rows(
+            lay.knots, x[src], want_cache)
+        w = p[par]
+        # matmul runs per row the same BLAS product as one edge's basis @ c
+        spl = (basis @ w[:, 2:, None])[..., 0]
+        outs[at] = w[:, :1] * silu + w[:, 1:2] * spl
+        cache[0] = w, basis, dbasis, silu, dsilu, spl
+    if lay.lck[2].size:
+        at, src, par = lay.lck
+        a, b, c, d = p[par].T[:, :, None]
+        u = a * x[src] + b
+        fu, fpu = np.zeros(u.shape), np.zeros(u.shape)
+        for r, cand in lay.live:
+            ok = np.asarray(cand.domain(u[r]))
+            if not ok.all():
+                raise DomainViolationError(
+                    f"locked candidate {cand.name!r} undefined at argument "
+                    f"{u[r][~ok][:1]}")
+            fu[r] = cand.fn(u[r])
+            if want_cache:
+                fpu[r] = cand.deriv(u[r])
+        outs[at] = c * fu + d
+        cache[1] = x[src], a, c, fu, fpu
+    nodes = outs if lay.in_dim == 1 else outs.reshape(
+        lay.out_dim, lay.in_dim, -1).sum(axis=1)
+    return outs, nodes, cache if want_cache else None
+
+
+def _layer_back(lay: _Layer, cache: list, go: np.ndarray,
+                grad: np.ndarray) -> np.ndarray:
+    """From the gradient go on a layer's edge outputs (E, N), write its
+    parameters' gradient into grad; return the gradient on its node values
+    (in_dim, N). Row dots run as matmuls, the same BLAS dot as one edge's."""
+    down = np.empty_like(go)
+    if lay.knots is not None:
+        (at, _, par), (w, basis, dbasis, silu, dsilu, spl) = lay.spl, cache[0]
+        g = go[at]
+        dots = [(g[:, None] @ v[..., None])[:, 0] for v in (silu, spl)]
+        grad[par] = np.concatenate(
+            dots + [w[:, 1:2] * (g[:, None] @ basis)[:, 0]], axis=1)
+        down[at] = g * (w[:, :1] * dsilu
+                        + w[:, 1:2] * (dbasis @ w[:, 2:, None])[..., 0])
+    if lay.lck[2].size:
+        (at, _, par), (xl, a, c, fu, fpu) = lay.lck, cache[1]
+        g, cf = go[at], c * fpu
+        dots = [(g[:, None] @ v[..., None])[:, 0] for v in (cf * xl, cf, fu)]
+        grad[par] = np.concatenate(dots + [g.sum(axis=1)[:, None]], axis=1)
+        down[at] = g * (cf * a)
+    return down if lay.out_dim == 1 else down.reshape(
+        lay.out_dim, lay.in_dim, -1).sum(axis=0)
 
 
 def _fit_grid(edge: EdgeActivation, x: np.ndarray) -> None:
     """Rescale an unlocked edge's grid to its inputs x with a 10% margin,
     refitting the coefficients so the spline keeps its shape."""
     lo, hi = float(x.min()), float(x.max())
-    span = hi - lo
-    if span < 1e-9:
-        span = 1.0
-    lo -= GRID_MARGIN * span
-    hi += GRID_MARGIN * span
+    span = 1.0 if hi - lo < 1e-9 else hi - lo
+    lo, hi = lo - GRID_MARGIN * span, hi + GRID_MARGIN * span
     new_grid = bspline.make_grid(lo, hi, edge.grid.num_intervals,
                                  edge.grid.order)
     dense = np.linspace(lo, hi, max(200, 20 * new_grid.num_basis))
@@ -305,37 +355,32 @@ def _fit_grid(edge: EdgeActivation, x: np.ndarray) -> None:
 # inf) and inf - inf in their sum are legitimate: callers check the result
 @np.errstate(over="ignore", invalid="ignore")
 def _forward(net: KanNetwork, xs: np.ndarray, want_cache: bool,
-             layer0=None, fit_grids: bool = False):
-    """Layer activations, per-edge outputs (flattening order) and, with
-    want_cache, the backward caches. With fit_grids, each unlocked edge's
-    grid is first fitted to the inputs it sees (see adapt_grids)."""
-    n = xs.shape[0]
+             fixed=None, fit_grids: bool = False):
+    """Node values and edge outputs per layer as rows, (dim, N) and (E, N),
+    and the backward caches if wanted, at ``fixed`` = (plan, flat parameters)
+    if given. fit_grids first fits unlocked grids (see adapt_grids)."""
     if xs.shape[1] != net.shape[0]:
         raise DimMismatchError(
             f"input dim {xs.shape[1]} != shape[0] = {net.shape[0]}")
-    acts = [xs]
-    edge_outs = []
-    caches = []
+    plan, p = fixed or (_plan(net), net.get_params())
+    acts, outs, caches = [xs.T], [], []
     for l, layer in enumerate(net.layers):
-        out = np.zeros((n, layer.out_dim))
-        for j in range(layer.out_dim):
-            for i in range(layer.in_dim):
-                edge, x = layer.edges[j][i], acts[-1][:, i]
-                if fit_grids and edge.lock is None:
-                    _fit_grid(edge, x)
-                pre = layer0[j][i] if l == 0 and layer0 else None
-                o, cache = _edge_eval(edge, x, want_cache, pre)
-                out[:, j] += o
-                edge_outs.append(o)
-                caches.append(cache)
-        acts.append(out)
-    return acts, edge_outs, caches
+        if fit_grids:
+            for r, e in enumerate(e for row in layer.edges for e in row):
+                if e.lock is None:
+                    _fit_grid(e, acts[-1][r % layer.in_dim])
+            plan, p = _plan(net), net.get_params()
+        o, nodes, cache = _layer_pass(plan[l], p, acts[-1], want_cache)
+        acts.append(nodes)
+        outs.append(o)
+        caches.append(cache)
+    return acts, outs, caches
 
 
 def forward_batch(net: KanNetwork, xs) -> np.ndarray:
     """Evaluate on a batch (n, in_dim), or 1-D xs as one column: (n, out)."""
     acts, _, _ = _forward(net, _as_batch(xs), want_cache=False)
-    return acts[-1]
+    return acts[-1].T
 
 
 def _as_batch(xs) -> np.ndarray:
@@ -354,9 +399,9 @@ def _check_batch(net, xs, ys):
     return xs, ys
 
 
-def _magnitudes(edge_outs) -> np.ndarray:
-    """Per-edge mean |output| over the batch."""
-    return np.array([float(np.mean(np.abs(o))) for o in edge_outs])
+def _magnitudes(outs) -> np.ndarray:
+    """Per-edge mean |output| over the batch (as np.mean, sum / n)."""
+    return np.concatenate([np.abs(o).sum(axis=1) / o.shape[1] for o in outs])
 
 
 def _penalty(edge_outs):
@@ -376,81 +421,46 @@ def _penalty(edge_outs):
     return total + entropy, weights
 
 
-def loss_and_gradient(net: KanNetwork, xs, ys, lam: float, *, _layer0=None):
+def loss_and_gradient(net: KanNetwork, xs, ys, lam: float, *, _fixed=None):
     """RMSE of the single output head plus lam * (sum of the edge
     magnitudes + their entropy), and its analytic gradient (reverse
     accumulation). An overflowing loss is inf, with a NaN gradient.
 
-    ``_layer0`` is for ``_minimize_free`` only: ``layer0_inputs(net, xs)``
-    computed earlier for the same xs and layer-0 grids, which saves
-    rebuilding the layer-0 bases. It is not checked against either; a stale
-    one gives a wrong loss and gradient.
+    ``_fixed`` is for ``_minimize_free`` only: a (plan, flat parameters)
+    pair that stands in for the network's own, the plan being ``_plan(net,
+    xs)`` for the same xs, grids and locks. It is not checked; a stale one
+    gives a wrong loss and gradient.
     """
     if lam < 0:
         raise InvalidArgumentError("lambda must be >= 0")
     xs, ys = _check_batch(net, xs, ys)
     n = xs.shape[0]
-    acts, edge_outs, caches = _forward(net, xs, want_cache=True,
-                                       layer0=_layer0)
-    out = acts[-1][:, 0]
-    resid = out - ys
+    plan, p = _fixed or (_plan(net), net.get_params())
+    acts, outs, caches = _forward(net, xs, want_cache=True, fixed=(plan, p))
+    resid = acts[-1][0] - ys
     # overflow to inf is fine: line searches treat a non-finite loss as a
     # wall and never ask for the gradient there
     with np.errstate(over="ignore"):
-        mse = float(np.mean(resid ** 2))
+        mse = float((resid ** 2).sum() / n)
     rmse = float(np.sqrt(mse))
     if not np.isfinite(rmse):
-        return rmse, np.full(net.num_params, np.nan)
+        return rmse, np.full(p.size, np.nan)
 
     loss = rmse
-    edge_weights = None
     if lam > 0.0:
-        penalty, edge_weights = _penalty(edge_outs)
+        penalty, weights = _penalty(outs)
         loss += lam * penalty
+        ends = np.cumsum([len(o) for o in outs])
 
-    # upstream gradient on the output node
-    if rmse > 0.0:
-        node_grad = (resid / (n * rmse)).reshape(-1, 1)
-    else:
-        node_grad = np.zeros((n, 1))
-
-    grads = [None] * len(caches)
-    edge_idx = len(caches)
-    for l in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[l]
-        first = edge_idx - layer.out_dim * layer.in_dim
-        down_grad = np.zeros((n, layer.in_dim))
-        k = first
-        for j in range(layer.out_dim):
-            for i in range(layer.in_dim):
-                edge = layer.edges[j][i]
-                go = node_grad[:, j].copy()
-                if edge_weights is not None and edge_weights[k] != 0.0:
-                    go += lam * edge_weights[k] * np.sign(edge_outs[k]) / n
-                cache = caches[k]
-                if cache[0] == "lock":
-                    _, fu, fpu, x = cache
-                    lk = edge.lock
-                    grads[k] = np.array([
-                        float(go @ (lk.c * fpu * x)),
-                        float(go @ (lk.c * fpu)),
-                        float(go @ fu),
-                        float(go.sum()),
-                    ])
-                    down_grad[:, i] += go * (lk.c * fpu * lk.a)
-                else:
-                    _, basis, dbasis, spl, silu, dsilu = cache
-                    g_wb = float(go @ silu)
-                    g_wc = float(go @ spl)
-                    g_c = edge.w_c * (basis.T @ go)
-                    grads[k] = np.concatenate(([g_wb, g_wc], g_c))
-                    dpsi_dx = (edge.w_b * dsilu
-                               + edge.w_c * (dbasis @ edge.coeffs.values))
-                    down_grad[:, i] += go * dpsi_dx
-                k += 1
-        node_grad = down_grad
-        edge_idx = first
-    return loss, np.concatenate(grads)
+    node_grad = (resid / (n * rmse) if rmse > 0.0 else np.zeros(n))[None]
+    grad = np.empty(p.size)
+    for l in range(len(outs) - 1, -1, -1):
+        go = node_grad.repeat(plan[l].in_dim, axis=0)
+        if lam > 0.0:
+            w = weights[ends[l] - len(outs[l]):ends[l]]
+            go += (lam * w)[:, None] * np.sign(outs[l]) / n
+        node_grad = _layer_back(plan[l], caches[l], go, grad)
+    return loss, grad
 
 
 def adapt_grids(net: KanNetwork, xs) -> KanNetwork:
@@ -479,14 +489,14 @@ def _minimize_free(net: KanNetwork, xs, ys, lam: float,
     if not free.any():
         return net
     base = net.get_params()
-    layer0 = layer0_inputs(net, xs)  # the parameters move, the grids do not
+    plan = _plan(net, xs)  # the parameters move; the grids and locks do not
 
     def loss_grad(sub):
         p = base.copy()
         p[free] = sub
-        net.set_params(p)
         try:
-            loss, grad = loss_and_gradient(net, xs, ys, lam, _layer0=layer0)
+            loss, grad = loss_and_gradient(net, xs, ys, lam,
+                                           _fixed=(plan, p))
         except DomainViolationError:
             return np.inf, None
         return loss, grad[free]
@@ -524,15 +534,11 @@ def prune(net: KanNetwork, threshold: float, xs) -> KanNetwork:
     # a hidden node dies when its best incoming or best outgoing edge is weak
     for l in range(1, len(net.shape) - 1):
         for node in range(net.shape[l]):
-            max_in = max(imp[(l - 1, node, i)]
-                         for i in range(net.shape[l - 1]))
-            max_out = max(imp[(l, j, node)]
-                          for j in range(net.shape[l + 1]))
-            if max_in < threshold or max_out < threshold:
-                for i in range(net.shape[l - 1]):
-                    kill.add((l - 1, node, i))
-                for j in range(net.shape[l + 1]):
-                    kill.add((l, j, node))
+            ins = [(l - 1, node, i) for i in range(net.shape[l - 1])]
+            outs = [(l, j, node) for j in range(net.shape[l + 1])]
+            if (max(imp[k] for k in ins) < threshold
+                    or max(imp[k] for k in outs) < threshold):
+                kill.update(ins + outs)
     for l, j, i, edge in net.iter_edges():
         if (l, j, i) in kill:
             net.layers[l].edges[j][i] = EdgeActivation(
@@ -551,9 +557,8 @@ def snap_edge(net: KanNetwork, layer: int, out_idx: int, in_idx: int, xs,
         raise InvalidArgumentError(
             f"edge ({layer},{out_idx},{in_idx}) is already locked")
     acts, edge_outs, _ = _forward(net, _as_batch(xs), want_cache=False)
-    flat = (sum(lay.out_dim * lay.in_dim for lay in net.layers[:layer])
-            + out_idx * net.layers[layer].in_dim + in_idx)
-    result = rank_candidates(acts[layer][:, in_idx], edge_outs[flat], search)
+    result = rank_candidates(acts[layer][in_idx], edge_outs[layer][
+        out_idx * net.layers[layer].in_dim + in_idx], search)
     name, a, b, c, d, _ = result.best
     net = net.clone()
     net.layers[layer].edges[out_idx][in_idx].lock = SymbolicLock(
@@ -582,13 +587,8 @@ def extract_formula(net: KanNetwork):
         raise InvalidArgumentError("formula extraction needs one output head")
     exprs = [Var(i) for i in range(net.shape[0])]
     for layer in net.layers:
-        nxt = []
-        for j in range(layer.out_dim):
-            terms = []
-            for i in range(layer.in_dim):
-                lk = layer.edges[j][i].lock
-                terms.append(Unary(lk.candidate.name, lk.a, lk.b,
-                                   lk.c, lk.d, exprs[i]))
-            nxt.append(fold(Sum(tuple(terms))))
-        exprs = nxt
+        exprs = [fold(Sum(tuple(
+            Unary(e.lock.candidate.name, e.lock.a, e.lock.b, e.lock.c,
+                  e.lock.d, exprs[i]) for i, e in enumerate(row))))
+            for row in layer.edges]
     return exprs[0]

@@ -104,6 +104,60 @@ class TestBasisEval:
         assert np.max(np.abs(deriv - fd)) < 1e-6
 
 
+def full_recursion(grid, xs):
+    """The textbook Cox-de Boor recursion over every basis at once, with the
+    interval index held to the knot span: the reference for the banded
+    evaluation, bases and derivatives."""
+    x, t = np.asarray(xs, dtype=float), grid.knots
+    m = len(t) - 1
+    basis = np.zeros((x.size, m))
+    basis[np.arange(x.size),
+          np.clip(np.searchsorted(t, x, side="right") - 1, 0, m - 1)] = 1.0
+    lower = basis
+    for k in range(1, grid.order + 1):
+        lower = basis
+        d_left, d_right = t[k:m] - t[:m - k], t[k + 1:] - t[1:m - k + 1]
+        left = (x[:, None] - t[None, :m - k]) / d_left
+        right = (t[k + 1:] - x[:, None]) / d_right
+        basis = left * lower[:, :m - k] + right * lower[:, 1:m - k + 1]
+    if grid.order == 0:
+        return basis, np.zeros_like(basis)
+    k = grid.order
+    return basis, (k / d_left * lower[:, :m - k]
+                   - k / d_right * lower[:, 1:m - k + 1])
+
+
+class TestStackedBasis:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_rows_equal_per_row_calls(self, order):
+        # three grids of one (intervals, order) over different domains; each
+        # row's points hit every knot of its grid and lie beyond its span
+        rng = np.random.default_rng(order)
+        grids = [bspline.make_grid(lo, hi, 5, order)
+                 for lo, hi in ((-1.0, 2.0), (0.3, 0.9), (-40.0, 7.5))]
+        xs = np.stack([np.concatenate((
+            g.knots, rng.uniform(g.knots[0] - 3.0, g.knots[-1] + 3.0, 30),
+            [g.knots[0] - 1e3, g.knots[-1] + 1e3])) for g in grids])
+        stack = bspline.stack_grids(grids)
+        basis, deriv = bspline.basis_and_deriv_matrix(stack, xs)
+        n = xs.shape[1]
+        assert basis.shape == deriv.shape == (3 * n, grids[0].num_basis)
+        assert bspline.basis_matrix(stack, xs).tobytes() == basis.tobytes()
+        for e, (grid, x) in enumerate(zip(grids, xs)):
+            row_basis, row_deriv = bspline.basis_and_deriv_matrix(grid, x)
+            assert basis[e * n:(e + 1) * n].tobytes() == row_basis.tobytes()
+            assert deriv[e * n:(e + 1) * n].tobytes() == row_deriv.tobytes()
+            # only the band is computed, yet it is the full recursion's
+            ref_basis, ref_deriv = full_recursion(grid, x)
+            assert np.array_equal(row_basis, ref_basis)
+            assert np.array_equal(row_deriv, ref_deriv)
+
+    def test_grids_must_share_intervals_and_order(self):
+        with pytest.raises(InvalidArgumentError):
+            bspline.stack_grids([bspline.make_grid(0.0, 1.0, 5, 3),
+                                 bspline.make_grid(0.0, 1.0, 4, 3)])
+
+
 class TestSplineEval:
     def test_all_ones_coeffs(self):
         grid = bspline.make_grid(-1.0, 1.0, 5, 3)

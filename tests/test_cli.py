@@ -228,7 +228,27 @@ class TestSynthAndMetrics:
         assert "malformed number '1.2.3'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("extra", [["--sigma", "inf"], ["--sigma", "nan"],
+                                       ["--phi-max", "inf"]])
+    def test_non_finite_input(self, tmp_path, capsys, extra):
+        out = tmp_path / "x.csv"
+        assert cli.main(["synth", "--formula", "kan_fb", "--n", "3",
+                         "--out", str(out)] + extra) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPlotData:
+    @pytest.mark.parametrize("extra", [["--phi-max", "inf"],
+                                       ["--phi-max", "1e300",
+                                        "--step", "1e-300"]])
+    def test_non_finite_grid(self, tmp_path, capsys, extra):
+        out = tmp_path / "pd.csv"
+        assert cli.main(["plotdata", "--models", "kan_fb", "--out", str(out)]
+                        + extra) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_curves_and_scatter(self, data_file, tmp_path, capsys):
         out = tmp_path / "curves.csv"
         code = cli.main(["plotdata", "--models", "original_fb,kan_fb",

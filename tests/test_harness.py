@@ -321,6 +321,17 @@ class TestConfig:
 
 
 class TestEmitPlotData:
+    @pytest.mark.parametrize("spec", [(0.2, np.inf, 0.01),
+                                      (-np.inf, 5.0, 0.01),
+                                      (0.2, 5.0, np.nan), (np.nan, 5.0, 0.1),
+                                      (0.2, 1e300, 1e-300)])
+    def test_non_finite_grid(self, tmp_path, spec):
+        # the last: finite bounds and step, but an overflowing point count
+        out = tmp_path / "curves.csv"
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            emit_plot_data([("kan_fb", hydro.eval_kan_fB)], None, spec, out)
+        assert not out.exists()
+
     def test_curve_row_count_and_values(self, tmp_path):
         out = tmp_path / "curves.csv"
         models = [("original_fb", hydro.eval_original_fB),

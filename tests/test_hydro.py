@@ -368,3 +368,15 @@ class TestSynthGenerate:
             synth_generate(self.FORMULA, 0, (0.2, 5.0), 0.0, seed=0)
         with pytest.raises(InvalidArgumentError):
             synth_generate(self.FORMULA, 10, (0.2, 5.0), -0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(InvalidArgumentError, match="noise_sigma"):
+            synth_generate(self.FORMULA, 3, (0.2, 5.0), sigma, seed=0)
+
+    @pytest.mark.parametrize("phi_range", [(0.2, np.inf), (-np.inf, 5.0),
+                                           (-1e308, 1e308)])
+    def test_non_finite_phi_range(self, phi_range):
+        # an infinite bound, or finite bounds whose width overflows
+        with pytest.raises(InvalidArgumentError, match="phi range"):
+            synth_generate(self.FORMULA, 3, phi_range, 0.0, seed=0)

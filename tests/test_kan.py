@@ -203,12 +203,13 @@ class TestGradient:
         xs = rng.uniform(0.2, 5.0, (60, 1))
         ys = np.tanh(xs[:, 0]) + rng.normal(0.0, 0.02, 60)
         net = adapt_grids(init_network([1, 3, 1], 5, seed=1), xs)
-        cached = kan.layer0_inputs(net, xs)
+        plan = kan._plan(net, xs)  # the per-minimisation constants
+        assert plan[0].inputs is not None  # layer 0's bases at xs
         for _ in range(2):
             # the cache stays valid while training moves the parameters
             value, grad = loss_and_gradient(net, xs, ys, 1e-3)
-            value_c, grad_c = loss_and_gradient(net, xs, ys, 1e-3,
-                                                _layer0=cached)
+            value_c, grad_c = loss_and_gradient(
+                net, xs, ys, 1e-3, _fixed=(plan, net.get_params()))
             assert value_c == value
             assert np.array_equal(grad_c, grad)
             net.set_params(net.get_params() + rng.normal(0.0, 0.05,
@@ -248,6 +249,104 @@ class TestGradient:
         # the difference is linear in lambda
         g2 = loss_and_gradient(net, xs, ys, 2e-2)[1]
         assert g2 - g1 == pytest.approx(g1 - g0, rel=1e-9, abs=1e-12)
+
+
+def reference_pass(net, xs, ys, lam):
+    """The network evaluated one edge at a time, forward and backward: its
+    output, the loss and the gradient in flattening order."""
+    n = xs.shape[0]
+    acts, outs, caches, starts = [xs], [], [], [0]
+    for layer in net.layers:
+        node = np.zeros((n, layer.out_dim))
+        for j in range(layer.out_dim):
+            for i in range(layer.in_dim):
+                e, x = layer.edges[j][i], acts[-1][:, i]
+                if e.lock is not None:
+                    lk = e.lock
+                    u = lk.a * x + lk.b
+                    fu = lk.candidate.fn(u)
+                    o = lk.c * fu + lk.d
+                    caches.append((x, fu, lk.candidate.deriv(u)))
+                else:
+                    basis, dbasis = bspline.basis_and_deriv_matrix(e.grid, x)
+                    s = 1.0 / (1.0 + np.exp(-x))
+                    spl = basis @ e.coeffs.values
+                    o = e.w_b * (x * s) + e.w_c * spl
+                    caches.append((basis, dbasis, spl, x * s,
+                                   s * (1.0 + x * (1.0 - s))))
+                node[:, j] += o
+                outs.append(o)
+        acts.append(node)
+        starts.append(len(outs))
+    resid = acts[-1][:, 0] - ys
+    rmse = float(np.sqrt(np.mean(resid ** 2)))
+    mags = np.array([np.mean(np.abs(o)) for o in outs])
+    total = float(mags.sum())
+    p = mags / total
+    nz = p > 0.0
+    log_p = np.log(p[nz])
+    entropy = float(-np.sum(p[nz] * log_p))
+    weights = np.zeros_like(mags)
+    weights[nz] = 1.0 + (-log_p - entropy) / total
+    node_grad = (resid / (n * rmse)).reshape(-1, 1)
+    grads = [None] * len(outs)
+    for l in range(len(net.layers) - 1, -1, -1):
+        layer, down = net.layers[l], np.zeros((n, net.layers[l].in_dim))
+        for j in range(layer.out_dim):
+            for i in range(layer.in_dim):
+                k, e = starts[l] + j * layer.in_dim + i, layer.edges[j][i]
+                go = node_grad[:, j] + lam * weights[k] * np.sign(outs[k]) / n
+                if e.lock is not None:
+                    x, fu, fpu = caches[k]
+                    cf = e.lock.c * fpu
+                    grads[k] = [go @ (cf * x), go @ cf, go @ fu, go.sum()]
+                    down[:, i] += go * (cf * e.lock.a)
+                else:
+                    basis, dbasis, spl, silu, dsilu = caches[k]
+                    grads[k] = [go @ silu, go @ spl,
+                                *(e.w_c * (basis.T @ go))]
+                    down[:, i] += go * (e.w_b * dsilu + e.w_c
+                                        * (dbasis @ e.coeffs.values))
+        node_grad = down
+    loss_value = rmse + lam * (total + entropy)
+    return acts[-1], loss_value, np.concatenate(grads)
+
+
+class TestStackedPass:
+    """Each layer's edges run as one pass over stacked rows; a per-edge
+    evaluation must see the same numbers."""
+
+    def network(self):
+        xs = np.random.default_rng(4).uniform(-2.0, 2.0, (40, 1))
+        net = adapt_grids(init_network([1, 3, 3, 1], 4, seed=2), xs)
+        # mixed layers: unlocked splines, unfrozen locks of four candidates
+        # and frozen zero locks, with a dead hidden node's pattern
+        lock_edge(net, 0, 2, 0, "gaussian", 0.8, 0.1, 0.5, -0.2)
+        lock_edge(net, 1, 0, 0, "tanh", 1.1, -0.3, 0.7, 0.05)
+        lock_edge(net, 1, 1, 2, "sin", 0.6, 0.4, -0.9, 0.1)
+        lock_edge(net, 2, 0, 1, "x^2", 0.5, 0.2, 0.3, -0.1)
+        for l, j, i in [(1, 2, 1), (2, 0, 2)]:
+            net.layers[l].edges[j][i].lock = zero_lock()
+        return net, xs, np.sin(xs[:, 0])
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_matches_per_edge_reference(self, lam):
+        net, xs, ys = self.network()
+        out, ref_loss, ref_grad = reference_pass(net, xs, ys, lam)
+        value, grad = loss_and_gradient(net, xs, ys, lam)
+        assert np.array_equal(forward_batch(net, xs), out)
+        assert value == ref_loss
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
+
+    def test_importances_follow_flattening_order(self):
+        net, xs, _ = self.network()
+        imps = kan.edge_importances(net, xs)
+        assert imps.shape == (3 + 9 + 3,)
+        flat = [(l, j, i) for l, j, i, _ in net.iter_edges()]
+        for key in [(1, 2, 1), (2, 0, 2)]:  # the zero locks
+            assert imps[flat.index(key)] == 0.0
+        assert np.all(np.delete(imps, [flat.index((1, 2, 1)),
+                                       flat.index((2, 0, 2))]) > 0.0)
 
 
 class TestPrune:
@@ -441,6 +540,26 @@ class TestSerialization:
         doc["schema"] = 2
         with pytest.raises(DataValidationError, match="'schema'"):
             kan.KanNetwork.from_json(json.dumps(doc))
+
+    def test_unlocked_edges_of_a_layer_share_one_grid(self):
+        # a layer's unlocked edges evaluate as one stack, which needs one
+        # (num_intervals, order); a hand-edited checkpoint breaks that
+        doc = json.loads(init_network([1, 2, 1], 5, seed=9).to_json())
+        rec = next(r for r in doc["edges"]
+                   if (r["layer"], r["out"], r["in"]) == (0, 1, 0))
+        rec["grid"]["num_intervals"] = 4
+        rec["coeffs"] = rec["coeffs"][:7]
+        with pytest.raises(DataValidationError,
+                           match=r"checkpoint edge \(0, 1, 0\)"):
+            kan.KanNetwork.from_json(json.dumps(doc))
+        # a locked edge is not stacked, so fully locked checkpoints, which
+        # fit writes, load whatever their grids
+        for r in doc["edges"]:
+            r["lock"] = {"candidate": "x", "a": 1.0, "b": 0.0, "c": 1.0,
+                         "d": 0.0, "frozen": False}
+        net = kan.KanNetwork.from_json(json.dumps(doc))
+        assert net.layers[0].edges[1][0].grid.num_intervals == 4
+        assert forward_batch(net, [0.5])[0, 0] == pytest.approx(1.0)
 
     def test_grid_rescaling_on_data(self):
         net = init_network([1, 1], 5, seed=0)
