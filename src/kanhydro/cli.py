@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -140,29 +141,57 @@ def _cmd_synth(args) -> int:
 
 
 def _read_columns(path, names):
+    """The named columns of a comma-separated file, parsed as floats, as one
+    (columns, rows) array.
+
+    Blank lines are skipped. At most hydro.BLOCK_ROWS rows are held as text
+    at once: each block's columns are parsed before the next block is read.
+    The first faulty row stops the read: a short or non-numeric one is named
+    by its line, and one the CSV reader rejects makes the text unreadable."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = []
-            for row in reader:
-                got = sum(v is not None for v in row.values())
-                if got < len(reader.fieldnames):  # DictReader pads with None
-                    raise CsvParseError(f"{path}:{reader.line_num}: expected "
-                                        f"{len(reader.fieldnames)} fields, "
-                                        f"got {got}")
-                rows.append(row)
-    except (UnicodeDecodeError, csv.Error) as exc:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            index = {h: k for k, h in enumerate(header)}
+            for name in names:
+                if name not in index:
+                    raise CsvParseError(f"{path}: missing column {name!r}")
+            picks = [index[name] for name in names]
+            blocks = []
+            fault, more = None, True  # fault: the error that ends the read
+            while more and fault is None:
+                nums, texts = [], tuple([] for _ in names)
+                more = False
+                try:
+                    for row in itertools.islice(reader, hydro.BLOCK_ROWS):
+                        more = True
+                        if not row:
+                            continue  # blank
+                        if len(row) < len(header):
+                            fault = CsvParseError(
+                                f"{path}:{reader.line_num}: expected "
+                                f"{len(header)} fields, got {len(row)}")
+                            break
+                        nums.append(reader.line_num)
+                        for text, k in zip(texts, picks):
+                            text.append(row[k])
+                except csv.Error as exc:
+                    fault = CsvParseError(
+                        f"{path}: unreadable CSV text ({exc})")
+                # a non-numeric value comes before the fault that ended the
+                # block, if any
+                block, bad = hydro.parse_floats(texts)
+                if bad is not None:
+                    n, k, exc = bad
+                    fault = CsvParseError(
+                        f"{path}:{nums[n]}: non-numeric value in "
+                        f"{names[k]!r}: {exc}")
+                blocks.append(block)
+    except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path}: unreadable CSV text ({exc})") from exc
-    cols = []
-    for name in names:
-        if not rows or name not in rows[0]:
-            raise CsvParseError(f"{path}: missing column {name!r}")
-        try:
-            cols.append(np.array([float(r[name]) for r in rows]))
-        except ValueError as exc:
-            raise CsvParseError(f"{path}: non-numeric value in {name!r}: "
-                                f"{exc}") from exc
-    return cols
+    if fault is not None:
+        raise fault
+    return np.concatenate(blocks, axis=1)
 
 
 def _cmd_metrics(args) -> int:

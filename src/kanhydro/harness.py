@@ -19,13 +19,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import kan, metrics, symbolic
+from . import hydro, kan, metrics, symbolic
 from .errors import (
     InvalidArgumentError,
     KanHydroError,
     TooSmallDatasetError,
 )
-from .hydro import CatchmentDataset
 from .optim import AffineSearchGrid, OptimOptions
 
 TARGETS = ("qb_over_p", "qd_over_p", "qb", "qd")
@@ -346,7 +345,7 @@ def finalize(best_hp: HyperPoint, x_train, y_train, x_test, y_test,
     )
 
 
-def fit(ds: CatchmentDataset, target: str, config: GridSearchConfig, *,
+def fit(ds: hydro.CatchmentDataset, target: str, config: GridSearchConfig, *,
         threads: int = 1) -> FitReport:
     """Full run: split, grid-search, finalize. Target picks the y column.
 
@@ -395,9 +394,16 @@ def emit_plot_data(models, ds, phi_spec, out_path) -> str:
 
 def write_csv(path, header, row_format, columns) -> None:
     """Write a header line, then each row of the equal-length columns
-    (arrays or lists) through one %-format string, in one write."""
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                 for c in columns))
+    (arrays or lists) through one %-format string.
+
+    The rows are formatted and written one block of hydro.BLOCK_ROWS rows
+    at a time, so at most one block is held as text."""
+    line = (row_format + "\n").__mod__
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n"
-                 + "".join(map((row_format + "\n").__mod__, rows)))
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]) if columns else 0,
+                           hydro.BLOCK_ROWS):
+            stop = start + hydro.BLOCK_ROWS
+            rows = zip(*(c[start:stop].tolist() if isinstance(c, np.ndarray)
+                         else c[start:stop] for c in columns))
+            fh.write("".join(map(line, rows)))

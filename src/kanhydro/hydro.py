@@ -7,8 +7,10 @@ Units are mm/yr throughout. The aridity index is phi = PET / P.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,8 @@ from .errors import (
 from .optim import OptimOptions, bfgs_minimize
 
 PHI_SUSPICIOUS = 10.0  # beyond this the loader flags the row as suspect
+# rows the CSV reader and writer hold as text at once
+BLOCK_ROWS = 4096
 
 # the raw columns by CSV header, and the dataset attribute holding each
 RAW_COLUMNS = {"p_mm_yr": "p", "pet_mm_yr": "pet", "qb_mm_yr": "qb",
@@ -209,13 +213,55 @@ def fit_parametric(family: str, xs, ys, x0) -> AridityModel:
 # Dataset ingestion
 # --------------------------------------------------------------------------
 
+def parse_floats(texts):
+    """Parse equal-length lists of numeric text, one list per column, as
+    float() does, into a (columns, rows) array.
+
+    Returns the array and None, or, when a field does not parse, the array
+    of the rows before it and that field's (row, column, ValueError)."""
+    try:
+        return np.array(texts, dtype=float), None
+    except ValueError:  # it parses like float(), so float() finds the field
+        for n, row in enumerate(zip(*texts)):
+            for k, text in enumerate(row):
+                try:
+                    float(text)
+                except ValueError as exc:
+                    return (np.array([t[:n] for t in texts], dtype=float),
+                            (n, k, exc))
+        raise
+
+
+def _kept_rows(reader, width, gi, name):
+    """Yield (line number, gauge id, fields) for each row of a catchment
+    file after its header, skipping blank rows; the first short or
+    unparsable row raises CsvParseError."""
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) < width:
+                if "".join(row).strip():
+                    raise CsvParseError(f"{name}:{line_no}: expected {width} "
+                                        f"fields, got {len(row)}")
+                continue  # blank
+            gauge = row[gi].strip()
+            if gauge or "".join(row).strip():
+                yield line_no, gauge, row
+    except csv.Error as exc:  # e.g. an oversized field
+        raise CsvParseError(f"{name}:{reader.line_num}: {exc}") from exc
+
+
 def load_catchments(path, strict: bool = True) -> CatchmentDataset:
     """Load and validate the comma-separated catchment file.
 
     The first faulty line stops the load, naming the first of: too few
-    fields, a non-numeric field, a duplicate gauge id, a broken invariant.
-    Rows violating the water balance (qb + qd > p) are warned about, and
-    excluded in strict mode (still counting as duplicates)."""
+    fields or unparsable CSV, a non-numeric field, a duplicate gauge id, a
+    broken invariant. Rows violating the water balance (qb + qd > p) are
+    warned about, and excluded in strict mode (still counting as
+    duplicates).
+
+    At most BLOCK_ROWS rows are held as text at once: each block's numeric
+    fields are parsed before the next block is read, and the checks run on
+    the parsed columns."""
     if hasattr(path, "read"):
         name, opened = "<stream>", contextlib.nullcontext(path)
     else:
@@ -238,47 +284,45 @@ def load_catchments(path, strict: bool = True) -> CatchmentDataset:
                     f"{name}: missing required columns {missing}")
             extra = [c for c in header if c not in REQUIRED_COLUMNS]
             warnings = [f"ignoring extra columns {extra}"] if extra else []
-            gi, *numeric = (header.index(c) for c in REQUIRED_COLUMNS)
+            gi, pi, peti, qbi, qdi = (header.index(c)
+                                      for c in REQUIRED_COLUMNS)
 
-            # the fields stream into one list per column; the checks run on
-            # whole columns, and messages are built for failing lines only
-            ids, lines, fields = [], [], ([], [], [], [])
-            p_s, pet_s, qb_s, qd_s = fields
-            pi, peti, qbi, qdi = numeric
-            fault = None  # a short row, which ends the scan
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) < len(header):
-                    if "".join(row).strip():
-                        fault = CsvParseError(
-                            f"{name}:{line_no}: expected {len(header)} "
-                            f"fields, got {len(row)}")
-                        break
-                    continue  # blank
-                gauge = row[gi].strip()
-                if not gauge and not "".join(row).strip():
-                    continue  # blank
-                ids.append(gauge)
-                lines.append(line_no)
-                p_s.append(row[pi])
-                pet_s.append(row[peti])
-                qb_s.append(row[qbi])
-                qd_s.append(row[qdi])
-        except csv.Error as exc:  # e.g. an oversized field
+            # the rows stream through in blocks; a block keeps its ids, line
+            # numbers and numeric fields as text, one list per column, until
+            # it is parsed, and messages are built for failing lines only
+            rows = _kept_rows(reader, len(header), gi, name)
+            ids, lines, blocks = [], array.array("q"), []
+            fault, full = None, True  # fault: the error that ends the scan
+            while full and fault is None:
+                gauges, nums, texts = [], [], ([], [], [], [])
+                p_s, pet_s, qb_s, qd_s = texts
+                try:
+                    for line_no, gauge, row in itertools.islice(rows,
+                                                                BLOCK_ROWS):
+                        gauges.append(gauge)
+                        nums.append(line_no)
+                        p_s.append(row[pi])
+                        pet_s.append(row[peti])
+                        qb_s.append(row[qbi])
+                        qd_s.append(row[qdi])
+                except CsvParseError as exc:
+                    fault = exc
+                full = len(nums) == BLOCK_ROWS
+                # a non-numeric field comes before the fault that ended the
+                # block, if any
+                block, bad = parse_floats(texts)
+                if bad is not None:
+                    fault = CsvParseError(f"{name}:{nums[bad[0]]}: "
+                                          f"non-numeric field ({bad[2]})")
+                ids += gauges[:block.shape[1]]
+                lines += array.array("q", nums[:block.shape[1]])
+                blocks.append(block)
+        except csv.Error as exc:  # in the header
             raise CsvParseError(f"{name}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CsvParseError(f"{name}: not UTF-8 text ({exc})") from exc
-    try:
-        cols = np.array(fields, dtype=float)
-    except ValueError:  # it parses like float(), so float() finds the row
-        for n, row in enumerate(zip(*fields)):
-            try:
-                list(map(float, row))
-            except ValueError as exc:
-                fault = CsvParseError(f"{name}:{lines[n]}: non-numeric "
-                                      f"field ({exc})")
-                break
-        ids = ids[:n]
-        cols = np.array([f[:n] for f in fields], dtype=float)
+    cols = np.concatenate(blocks, axis=1)
+    del blocks
     p, pet, qb, qd = cols
 
     n, seen = len(ids), {}

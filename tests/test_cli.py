@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kanhydro import cli, kan, symbolic
+from kanhydro import cli, hydro, kan, symbolic
 
 GOOD_CSV = """gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr
 g01,1000,500,300,200
@@ -64,16 +64,25 @@ class TestEvaluate:
 
 class TestGoldenOutput:
     """Byte-for-byte output of the row writers on a small fixed table: a
-    leading-zero id, long mantissas, -0, a padded field, a water-balance
-    violation and an aridity index above 10 (both kept, as evaluate and
-    plotdata load leniently)."""
+    leading-zero id, long mantissas, -0, a padded field, a blank line, a
+    water-balance violation and an aridity index above 10 (both kept, as
+    evaluate and plotdata load leniently)."""
 
     CSV = ("gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr\n"
            "01013500,1000,500,300,200\n"
            "b2,812.3456789012,1234.5678901234,101.25,0.001\n"
            "c3,1500.5,3000.25,-0,1e-5\n"
+           "\n"
            "d4,100,1500,60,50\n"
            "e5, 2.5e3 ,7,1999.99999999999,0.3333333333333333\n")
+
+    @pytest.fixture(params=[2, hydro.BLOCK_ROWS], autouse=True,
+                    ids=lambda rows: f"block{rows}")
+    def block_rows(self, request, monkeypatch):
+        """Read and write in blocks of two rows too, so that the table's
+        rows, its blank line and its warned rows fall on both sides of a
+        block edge."""
+        monkeypatch.setattr(hydro, "BLOCK_ROWS", request.param)
 
     def test_evaluate_out(self, tmp_path, capsys):
         data, out = tmp_path / "c.csv", tmp_path / "pred.csv"
@@ -198,6 +207,20 @@ class TestSynthAndMetrics:
                          "--obs-col", "phi", "--sim-col", "y"]) == 1
         assert (f"error: {data}:3: expected 2 fields, got 1"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("block_rows", [2, hydro.BLOCK_ROWS],
+                             ids=lambda rows: f"block{rows}")
+    def test_metrics_non_numeric_names_its_line(self, tmp_path, capsys,
+                                                monkeypatch, block_rows):
+        # the blank line is skipped but counted, and the bad value sits in
+        # the second two-row block
+        monkeypatch.setattr(hydro, "BLOCK_ROWS", block_rows)
+        data = tmp_path / "bad.csv"
+        data.write_text("phi,y\n1,2\n\n3,4\n5,x\n6\n")
+        assert cli.main(["metrics", "--data", str(data),
+                         "--obs-col", "phi", "--sim-col", "y"]) == 1
+        assert (f"error: {data}:5: non-numeric value in 'y': could not "
+                f"convert string to float: 'x'" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("text", [
         b"phi,y\n1,2\n\xff,3\n",

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,3 +367,60 @@ class TestEmitPlotData:
             lines = fh.read().strip().split("\n")
         assert lines[0] == "phi,qb_over_p,qd_over_p,qb,qd"
         assert len(lines) == 3
+
+
+def catchment_columns(n):
+    """The columns of n balanced catchments, in REQUIRED_COLUMNS order."""
+    rng = np.random.default_rng(n)
+    p = rng.uniform(300.0, 2500.0, n)
+    return [[f"g{k:06d}" for k in range(n)], p, p * rng.uniform(0.2, 5.0, n),
+            p * rng.uniform(0.0, 0.4, n), p * rng.uniform(0.0, 0.4, n)]
+
+
+def transient_bytes(fn, *args):
+    """fn(*args)'s traced peak beyond what is still allocated after it,
+    with its result held."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - held
+
+
+class TestWriteCsv:
+    ROW_FORMAT = "%s,%r,%r,%.10g,%s"
+
+    def test_rows_across_blocks_equal_one_format_per_row(self, tmp_path):
+        columns = catchment_columns(2 * hydro.BLOCK_ROWS + 3)
+        out = tmp_path / "rows.csv"
+        harness.write_csv(out, hydro.REQUIRED_COLUMNS, self.ROW_FORMAT,
+                          columns)
+        rows = zip(columns[0], *(c.tolist() for c in columns[1:]))
+        assert out.read_bytes() == (
+            ",".join(hydro.REQUIRED_COLUMNS) + "\n"
+            + "".join(self.ROW_FORMAT % row + "\n" for row in rows)).encode()
+
+
+class TestBlockMemory:
+    """The CSV reader and writer hold one block of rows as text, so the
+    memory they use beyond their result does not grow with the file's
+    text."""
+
+    def test_write_csv_transient_does_not_grow_with_rows(self, tmp_path):
+        small, big = (
+            transient_bytes(harness.write_csv, tmp_path / f"{n}.csv",
+                            hydro.REQUIRED_COLUMNS, "%s,%r,%r,%r,%r",
+                            catchment_columns(n))
+            for n in (5_000, 20_000))
+        assert big - small < 2**19
+
+    def test_load_catchments_transient_bound(self, tmp_path):
+        # the loader still keeps O(rows) memory that is not text: line
+        # numbers, the id set of the duplicate check, and the joined blocks
+        path = tmp_path / "80k.csv"
+        harness.write_csv(path, hydro.REQUIRED_COLUMNS, "%s,%r,%r,%r,%r",
+                          catchment_columns(80_000))
+        assert transient_bytes(hydro.load_catchments, path) < 15 * 2**20

@@ -1,5 +1,6 @@
 """Tests for water-balance formulas, parametric fitting, data IO, synthesis."""
 
+import csv
 import io
 
 import numpy as np
@@ -223,7 +224,8 @@ class TestLoadCatchments:
         assert f":{row + 2}:" in str(err.value)
 
     # the row checks in the order the loader applies them to one row
-    FAULTS = {"short": (CsvParseError, "expected 5 fields"),
+    FAULTS = {"unparsable": (CsvParseError, "field larger than field limit"),
+              "short": (CsvParseError, "expected 5 fields"),
               "non_numeric": (CsvParseError, "non-numeric field"),
               "duplicate": (DataValidationError, "duplicate gauge_id"),
               "invariant": (DataValidationError, "violates invariants")}
@@ -233,10 +235,12 @@ class TestLoadCatchments:
                          st.integers(1, 4),
                          st.sampled_from(["-1", "nan", "-inf", "0"])),
                min_size=2, max_size=2),
-           strict=st.booleans())
-    def test_first_faulty_line_is_reported(self, faults, strict):
+           strict=st.booleans(),
+           block_rows=st.sampled_from([2, hydro.BLOCK_ROWS]))
+    def test_first_faulty_line_is_reported(self, faults, strict, block_rows):
         # row 2 breaks the water balance: strict mode excludes it, yet a
-        # later copy of its id is still a duplicate
+        # later copy of its id is still a duplicate; with two-row blocks the
+        # faults fall on both sides of block edges
         rows = [[f"g{k}", str(1000 + k), "800", "300", "200"]
                 for k in range(8)]
         rows[2][1] = "400"
@@ -245,7 +249,9 @@ class TestLoadCatchments:
         for kind, row, col, value in sorted(
                 faults, key=lambda f: -precedence.index(f[0])):
             fields = rows[row]
-            if kind == "short":
+            if kind == "unparsable":
+                fields[0] = '"' + "9" * (csv.field_size_limit() + 1) + '"'
+            elif kind == "short":
                 rows[row] = fields[:col]
             elif kind == "non_numeric":
                 fields[col] = "oops"
@@ -260,7 +266,8 @@ class TestLoadCatchments:
         cls, text = self.FAULTS[planted[first]]
         csv_text = "\n".join(["gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr"]
                              + [",".join(r) for r in rows]) + "\n"
-        with pytest.raises(cls) as err:
+        with pytest.raises(cls) as err, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hydro, "BLOCK_ROWS", block_rows)
             load_catchments(io.StringIO(csv_text), strict=strict)
         assert str(err.value).startswith(f"<stream>:{first + 2}: ")
         assert text in str(err.value)
