@@ -298,11 +298,11 @@ def _layer_pass(lay: _Layer, p: np.ndarray, x: np.ndarray, want_cache: bool):
         u = a * x[src] + b
         fu, fpu = np.zeros(u.shape), np.zeros(u.shape)
         for r, cand in lay.live:
-            ok = np.asarray(cand.domain(u[r]))
-            if not ok.all():
+            lo, hi = u[r].min(), u[r].max()
+            if not cand.domain(lo, hi):
                 raise DomainViolationError(
-                    f"locked candidate {cand.name!r} undefined at argument "
-                    f"{u[r][~ok][:1]}")
+                    f"locked candidate {cand.name!r} undefined on arguments "
+                    f"[{lo}, {hi}]")
             fu[r] = cand.fn(u[r])
             if want_cache:
                 fpu[r] = cand.deriv(u[r])

@@ -217,10 +217,6 @@ def _check_samples(xs, ys):
     return xs, ys
 
 
-def _everywhere(u):
-    return np.ones_like(u, dtype=bool)
-
-
 @dataclass(frozen=True)
 class CoarseGrid:
     """An (a, b) search grid laid over (sub-sampled) data.
@@ -234,20 +230,24 @@ class CoarseGrid:
     u: np.ndarray  # a*x + b, shape (a, b, sample)
     yc: np.ndarray  # centered sub-sampled targets
     syy: float
+    span: np.ndarray  # (lo, hi) of a*x + b over every sample, shape (2, a, b)
 
     @staticmethod
     def over(xs, ys, ab_grid: AffineSearchGrid | None = None) -> "CoarseGrid":
         xs, ys = _check_samples(xs, ys)
         grid = ab_grid or AffineSearchGrid()
-        if grid.max_samples is not None and xs.size > grid.max_samples:
-            idx = np.linspace(0, xs.size - 1, grid.max_samples).astype(int)
-            xs, ys = xs[idx], ys[idx]
         a_vals = np.asarray(grid.a_magnitudes, dtype=float)
         a_vals = np.concatenate([a_vals, -a_vals])
         b_vals = np.asarray(grid.b_values, dtype=float)
+        # a*x + b over every sample spans its values at the two extreme x
+        ends = np.sort(np.multiply.outer(a_vals, [xs.min(), xs.max()]))
+        span = ends.T[:, :, None] + b_vals
+        if grid.max_samples is not None and xs.size > grid.max_samples:
+            idx = np.linspace(0, xs.size - 1, grid.max_samples).astype(int)
+            xs, ys = xs[idx], ys[idx]
         u = a_vals[:, None, None] * xs[None, None, :] + b_vals[None, :, None]
         yc = ys - ys.mean()
-        return CoarseGrid(a_vals, b_vals, u, yc, float(yc @ yc))
+        return CoarseGrid(a_vals, b_vals, u, yc, float(yc @ yc), span)
 
     def mirror_half(self) -> "CoarseGrid":
         """The a > 0 rows of this grid, as views; the grid itself when its
@@ -262,7 +262,7 @@ class CoarseGrid:
                 and np.array_equal(self.a_vals[half:], -self.a_vals[:half])):
             return self
         return CoarseGrid(self.a_vals[:half], self.b_vals, self.u[:half],
-                          self.yc, self.syy)
+                          self.yc, self.syy, self.span[:, :half])
 
 
 def _solve_cd(z, ys):
@@ -283,17 +283,18 @@ def _solve_cd(z, ys):
 # f and the sums overflow at grid points far from the data (exp, cosh, large
 # targets); those points come out non-finite and are skipped
 @np.errstate(all="ignore")
-def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain=None):
-    """The coarse pass of fit_affine_wrap.
+def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
+    """The coarse pass of a snap fit.
 
     Picks the grid (a, b) whose closed-form (c, d) fits the coarse samples
-    best, then solves (c, d) on all of xs. Returns ([a, b, c, d], the SSE of
-    that fit on all of xs).
+    best, then solves (c, d) on all of xs. A grid point is feasible where
+    ``domain`` holds over the range of a*x + b on all of xs, taken at its
+    two extreme x (``coarse.span``), and f is finite on the coarse samples.
+    Returns ([a, b, c, d], the SSE of that fit on all of xs).
     """
     xs, ys = _check_samples(xs, ys)
-    domain = domain or _everywhere
     u = coarse.u
-    feas = domain(u).all(axis=2)
+    feas = domain(*coarse.span)
     if not feas.any():
         raise NoValidCandidateError("no feasible (a, b) grid point")
     z = f(u)
@@ -323,25 +324,10 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain=None):
     feas &= np.isfinite(sse)
     if not feas.any():
         raise NoValidCandidateError("no feasible grid point gives a finite fit")
-    sse = np.where(feas, sse, np.inf)
-    a_vals, b_vals = coarse.a_vals, coarse.b_vals
-    best_flat = int(np.argmin(sse))
-    ia, ib = np.unravel_index(best_flat, sse.shape)
-    a0, b0 = float(a_vals[ia]), float(b_vals[ib])
-    u0 = a0 * xs + b0
-    if not domain(u0).all():
-        # coarse subsample was feasible but the full set is not; fall back to
-        # scanning feasible grid points against the full data
-        order = np.argsort(sse, axis=None)
-        for flat in order:
-            ia, ib = np.unravel_index(int(flat), sse.shape)
-            if not np.isfinite(sse[ia, ib]):
-                raise NoValidCandidateError("no grid point feasible on full data")
-            a0, b0 = float(a_vals[ia]), float(b_vals[ib])
-            if domain(a0 * xs + b0).all():
-                break
-        u0 = a0 * xs + b0
-    c0, d0, sse0 = _solve_cd(f(u0), ys)
+    ia, ib = np.unravel_index(int(np.argmin(np.where(feas, sse, np.inf))),
+                              sse.shape)
+    a0, b0 = float(coarse.a_vals[ia]), float(coarse.b_vals[ib])
+    c0, d0, sse0 = _solve_cd(f(a0 * xs + b0), ys)
     return np.array([a0, b0, c0, d0]), sse0
 
 
@@ -355,21 +341,13 @@ def fit_r2(sse: float, ys) -> float:
 
 
 def fit_affine_wrap(f, xs, ys, ab_grid: AffineSearchGrid | None = None, *,
-                    deriv, domain=None, start=None):
-    """Fit y = c*f(a*x + b) + d, where deriv is f's derivative; returns
-    (a, b, c, d, r2).
-
-    A coarse (a, b) grid with closed-form (c, d) seeds a joint BFGS polish of
-    all four parameters; ``start``, the [a, b, c, d] of an affine_start call
-    on the same samples, skips the coarse pass. r2 is fit_r2 of the polished
-    fit.
+                    deriv, domain, start):
+    """Polish y = c*f(a*x + b) + d by BFGS on all four parameters, from
+    ``start``, the [a, b, c, d] of an affine_start call on the same samples;
+    deriv is f's derivative. Returns (a, b, c, d, r2 of the polished fit).
     """
     xs, ys = _check_samples(xs, ys)
     grid = ab_grid or AffineSearchGrid()
-    domain = domain or _everywhere
-    if start is None:
-        start, _ = affine_start(f, xs, ys, CoarseGrid.over(xs, ys, grid),
-                                domain=domain)
     p0 = np.asarray(start, dtype=float)
 
     n = xs.size
@@ -378,7 +356,7 @@ def fit_affine_wrap(f, xs, ys, ab_grid: AffineSearchGrid | None = None, *,
         """Mean squared residual and its gradient at p = [a, b, c, d]; inf
         where a*x + b leaves f's domain or the SSE is not finite."""
         uu = p[0] * xs + p[1]
-        if not domain(uu).all():
+        if not domain(uu.min(), uu.max()):
             return np.inf, None
         fu = f(uu)
         cc, dd = p[2], p[3]

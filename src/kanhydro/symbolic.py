@@ -34,6 +34,11 @@ class CandidateFunction:
     affine wrap, and the snap searches only a > 0 for either parity. `role`
     is "identity" or "zero" for the linear primitives that fold simplifies
     away, and "" otherwise.
+
+    `domain(lo, hi)` is true where every u in [lo, hi] lies in f's domain,
+    elementwise over arrays of ends, and `domain(u, u)` checks points. As
+    a*x + b and its rounding are monotone in x, testing its values at the
+    two extreme x tests every sample.
     """
 
     name: str
@@ -49,12 +54,19 @@ class CandidateFunction:
         return f"CandidateFunction({self.name!r})"
 
 
-def _all(u):
-    return np.ones(np.shape(u), dtype=bool)
+# every domain in _LIBRARY is the reals, an interval or the reals without 0
+def _all(lo, hi):
+    return np.ones(np.shape(lo), dtype=bool)
 
 
-def _nonzero(u):
-    return np.asarray(u) != 0.0
+def _interval(inside):
+    """The interval where `inside(u)` holds: it holds a range's two ends."""
+    return lambda lo, hi: inside(lo) & inside(hi)
+
+
+def _one_sign(lo, hi):
+    """The reals without 0: no zero and no sign change across the range."""
+    return (lo > 0.0) | (hi < 0.0)
 
 
 # Integer and half powers are written with multiplies and reciprocals: on
@@ -113,38 +125,40 @@ _LIBRARY = [
     CandidateFunction("x^4", _quartic, lambda u: 4.0 * _cube(u), _all, 2,
                       "{}^4", "even", ""),
     CandidateFunction("1/x", lambda u: 1.0 / u, lambda u: -_inv2(u),
-                      _nonzero, 2, "1/{}", "odd", ""),
-    CandidateFunction("1/x^2", _inv2, lambda u: -2.0 * _inv3(u), _nonzero, 3,
+                      _one_sign, 2, "1/{}", "odd", ""),
+    CandidateFunction("1/x^2", _inv2, lambda u: -2.0 * _inv3(u), _one_sign, 3,
                       "1/{}^2", "even", ""),
-    CandidateFunction("1/x^3", _inv3, lambda u: -3.0 * _inv4(u), _nonzero, 3,
+    CandidateFunction("1/x^3", _inv3, lambda u: -3.0 * _inv4(u), _one_sign, 3,
                       "1/{}^3", "odd", ""),
-    CandidateFunction("1/x^4", _inv4, lambda u: -4.0 * _inv5(u), _nonzero, 3,
+    CandidateFunction("1/x^4", _inv4, lambda u: -4.0 * _inv5(u), _one_sign, 3,
                       "1/{}^4", "even", ""),
     CandidateFunction("sqrt", np.sqrt, lambda u: 0.5 / np.sqrt(u),
-                      lambda u: np.asarray(u) >= 0.0, 2, "sqrt({})", "", ""),
+                      _interval(lambda u: u >= 0.0), 2, "sqrt({})", "", ""),
     CandidateFunction("1/sqrt", lambda u: 1.0 / np.sqrt(u),
                       lambda u: -0.5 * _inv_sqrt3(u),
-                      lambda u: np.asarray(u) > 0.0, 3, "1/sqrt({})", "",
+                      _interval(lambda u: u > 0.0), 3, "1/sqrt({})", "",
                       ""),
     CandidateFunction("exp", np.exp, np.exp, _all, 3, "exp({})", "", ""),
     CandidateFunction("log", np.log, lambda u: 1.0 / u,
-                      lambda u: np.asarray(u) > 0.0, 3, "log({})", "", ""),
+                      _interval(lambda u: u > 0.0), 3, "log({})", "", ""),
     CandidateFunction("abs", np.abs, np.sign, _all, 3, "abs({})", "even", ""),
     CandidateFunction("sin", np.sin, np.cos, _all, 4, "sin({})", "odd", ""),
     CandidateFunction("tan", np.tan, lambda u: _inv2(np.cos(u)),
-                      lambda u: np.abs(u) < np.pi / 2, 4, "tan({})", "odd",
-                      ""),
+                      _interval(lambda u: np.abs(u) < np.pi / 2), 4,
+                      "tan({})", "odd", ""),
     CandidateFunction("tanh", np.tanh, lambda u: 1.0 - np.tanh(u) ** 2, _all,
                       4, "tanh({})", "odd", ""),
     CandidateFunction("sign", np.sign, lambda u: np.zeros_like(u), _all, 5,
                       "sign({})", "odd", ""),
     CandidateFunction("arcsin", np.arcsin,
                       lambda u: 1.0 / np.sqrt(1.0 - u ** 2),
-                      lambda u: np.abs(u) <= 1.0, 5, "arcsin({})", "odd", ""),
+                      _interval(lambda u: np.abs(u) <= 1.0), 5,
+                      "arcsin({})", "odd", ""),
     CandidateFunction("arctan", np.arctan, lambda u: 1.0 / (1.0 + u ** 2),
                       _all, 4, "arctan({})", "odd", ""),
     CandidateFunction("arctanh", np.arctanh, lambda u: 1.0 / (1.0 - u ** 2),
-                      lambda u: np.abs(u) < 1.0, 5, "arctanh({})", "odd", ""),
+                      _interval(lambda u: np.abs(u) < 1.0), 5,
+                      "arctanh({})", "odd", ""),
     CandidateFunction("0", lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                       lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                       _all, 0, "0", "even", "zero"),
@@ -304,7 +318,7 @@ def fold(node) -> Node:
             a, b, child = 1.0, 0.0, Const(b)
         if isinstance(child, Const):
             u = a * child.value + b
-            if np.all(cand.domain(np.asarray(u))):
+            if cand.domain(u, u):
                 return Const(float(c * cand.fn(u) + d))
         if cand is _IDENTITY:
             coef = c * a
@@ -467,7 +481,7 @@ def _eval(node, xmat, path):
         child = _eval(node.child, xmat, path + ".child")
         u = node.a * child + node.b
         cand = candidate_by_name(node.name)
-        ok = np.asarray(cand.domain(u))
+        ok = np.asarray(cand.domain(u, u))
         if not np.all(ok):
             raise DomainViolationError(
                 f"{node.name} undefined at argument {u[~ok][:1]}", node_path=path)

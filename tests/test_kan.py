@@ -10,6 +10,7 @@ from kanhydro import bspline, kan, symbolic
 from kanhydro.errors import (
     DataValidationError,
     DimMismatchError,
+    DomainViolationError,
     InvalidArgumentError,
     InvalidShapeError,
     NonFiniteObjectiveError,
@@ -27,6 +28,7 @@ from kanhydro.kan import (
     snap_edge,
     zero_lock,
 )
+from kanhydro.optim import AffineSearchGrid, CoarseGrid, affine_start
 from kanhydro.symbolic import candidate_by_name, eval_expression
 
 
@@ -117,6 +119,23 @@ class TestForward:
         net = identity_locked([1, 2, 1])
         xs = np.array([-1.0, 0.5, 2.0])
         assert forward_batch(net, xs)[:, 0] == pytest.approx(2 * xs)
+
+    def test_locked_pole_between_samples(self):
+        # 1/(x - 0.55) is finite at each sample, but its pole lies between
+        # 0.4 and 0.6: the lock is outside 1/x's domain over the edge's
+        # inputs, and the snap's coarse pass does not start there either
+        xs = np.array([0.2, 0.4, 0.6, 0.8])
+        net = init_network([1, 1], 3, seed=0)
+        lock_edge(net, 0, 0, 0, "1/x", 1.0, -0.55, 1.0, 0.0)
+        with pytest.raises(DomainViolationError):
+            forward_batch(net, xs)
+        inv, ys = candidate_by_name("1/x"), 1.0 / (xs - 0.55)
+        grid = AffineSearchGrid(a_magnitudes=np.array([1.0]),
+                                b_values=np.array([-0.55, 0.55]))
+        (a, b, _, _), _ = affine_start(inv.fn, xs, ys,
+                                       CoarseGrid.over(xs, ys, grid),
+                                       domain=inv.domain)
+        assert np.sign(a * xs + b).min() == np.sign(a * xs + b).max()
 
     def test_dim_mismatch(self):
         net = init_network([2, 1], 3, seed=0)

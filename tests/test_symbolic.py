@@ -11,7 +11,12 @@ from kanhydro.errors import (
     InvalidArgumentError,
     NoValidCandidateError,
 )
-from kanhydro.optim import AffineSearchGrid, fit_affine_wrap
+from kanhydro.optim import (
+    AffineSearchGrid,
+    CoarseGrid,
+    affine_start,
+    fit_affine_wrap,
+)
 from kanhydro.symbolic import (
     POLISH_TOP_K,
     Const,
@@ -45,20 +50,34 @@ class TestLibrary:
 
     def test_log_domain(self):
         log = candidate_by_name("log")
-        assert not log.domain(-1.0)
-        assert log.domain(2.0)
+        assert not log.domain(-1.0, -1.0)
+        assert log.domain(2.0, 2.0)
 
     def test_domain_predicates(self):
-        assert not candidate_by_name("sqrt").domain(-0.5)
-        assert candidate_by_name("arcsin").domain(1.0)
-        assert not candidate_by_name("arctanh").domain(1.0)
-        assert not candidate_by_name("1/x").domain(0.0)
+        assert not candidate_by_name("sqrt").domain(-0.5, -0.5)
+        assert candidate_by_name("arcsin").domain(1.0, 1.0)
+        assert not candidate_by_name("arctanh").domain(1.0, 1.0)
+        assert not candidate_by_name("1/x").domain(0.0, 0.0)
 
     def test_tan_principal_branch(self):
         # tan, like arcsin and arctanh, is held to one branch: |u| < pi/2
         tan = candidate_by_name("tan")
-        assert not tan.domain(1.6) and not tan.domain(-1.6)
-        assert tan.domain(1.57) and tan.domain(-1.57)
+        assert not tan.domain(1.6, 1.6) and not tan.domain(-1.6, -1.6)
+        assert tan.domain(1.57, 1.57) and tan.domain(-1.57, -1.57)
+        assert not tan.domain(-1.57, 1.6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_range_test_matches_the_samples(self, values):
+        # an interval holds every sample iff it holds their two extremes; the
+        # reals without 0 (the 1/x rows) also reject a sign change, since the
+        # pole lies between two samples
+        u = np.array(values)
+        for cand in candidate_library():
+            want = bool(cand.domain(u, u).all())
+            if cand.name.startswith("1/x"):
+                want = want and bool((u > 0.0).all() or (u < 0.0).all())
+            assert bool(cand.domain(u.min(), u.max())) == want, cand.name
 
     def test_unknown_candidate(self):
         for name in ("sinh", 5, ["tanh"]):
@@ -73,14 +92,16 @@ class TestLibrary:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     max_size=40))
     def test_parity_holds_exactly(self, values):
-        # an even or odd row has a domain symmetric about 0, and fn(-u) equals
-        # fn(u) or -fn(u) exactly (0.0 == -0.0) everywhere in it: the snap
-        # relies on this to search a > 0 only. A row with no parity breaks
-        # both at the witnesses.
+        # an even or odd row has a domain symmetric about 0, point by point
+        # and over the range of u, and fn(-u) equals fn(u) or -fn(u) exactly
+        # (0.0 == -0.0) everywhere in it: the snap relies on this to search
+        # a > 0 only. A row with no parity breaks both at the witnesses.
         u = np.array(self._parity_witnesses + values)
         for cand in candidate_library():
-            ok = cand.domain(u)
-            symmetric = np.array_equal(ok, cand.domain(-u))
+            ok = cand.domain(u, u)
+            symmetric = (np.array_equal(ok, cand.domain(-u, -u))
+                         and cand.domain(-u.max(), -u.min())
+                         == cand.domain(u.min(), u.max()))
             with np.errstate(all="ignore"):
                 fu, fm = cand.fn(u[ok]), cand.fn(-u[ok])
             even = symmetric and np.array_equal(fm, fu, equal_nan=True)
@@ -103,8 +124,7 @@ class TestLibrary:
         points = np.array([-2.3, -1.1, -0.55, -0.2, 0.35, 0.8, 1.3, 2.6])
         h = 1e-6
         for cand in candidate_library():
-            inside = (cand.domain(points - h) & cand.domain(points)
-                      & cand.domain(points + h))
+            inside = cand.domain(points - h, points + h)
             u = points[inside]
             assert u.size >= 3, cand.name
             fd = (cand.fn(u + h) - cand.fn(u - h)) / (2 * h)
@@ -206,14 +226,17 @@ class TestRankCandidates:
         xs = rng.uniform(0.2, 5.0, 200)
         ys = 0.39 - 0.34 * np.tanh(1.42 * xs - 0.82) + rng.normal(0, 0.01, 200)
         search = AffineSearchGrid(max_samples=80)
+        coarse = CoarseGrid.over(xs, ys, search)
         full = {}
         for cand in candidate_library():
             try:
-                full[cand.name] = (cand.name, *fit_affine_wrap(
-                    cand.fn, xs, ys, search, domain=cand.domain,
-                    deriv=cand.deriv))
+                start, _ = affine_start(cand.fn, xs, ys, coarse,
+                                        domain=cand.domain)
             except NoValidCandidateError:
                 continue
+            full[cand.name] = (cand.name, *fit_affine_wrap(
+                cand.fn, xs, ys, search, domain=cand.domain,
+                deriv=cand.deriv, start=start))
         top = rank_candidates(xs, ys, search)
         assert top.best == full["tanh"]
         assert {row[0] for row in top.ranked} == set(full)
@@ -309,7 +332,7 @@ class TestPrinting:
     def test_print_parse_print(self, cand, a, b, c, d):
         # a term whose argument coefficient prints as 0 prints as its value
         # c*f(b) + d, which exists only where f is defined at b
-        assume(abs(a) >= 0.01 or cand.domain(b))
+        assume(abs(a) >= 0.01 or cand.domain(b, b))
         text = print_expression(Unary(cand.name, a, b, c, d, Var(0)))
         assert print_expression(parse_expression(text)) == text
 
