@@ -29,6 +29,13 @@ STATUS_LINE_SEARCH_FAILURE = "line-search-failure"
 
 ZERO_VARIANCE_TOL = 1e-12
 
+# Coarse SSEs within COARSE_TIE_TOL * (sum of squared centred targets) of the
+# least tie, and the first such grid point wins whatever the BLAS kernel's
+# rounding. Mathematically tied points (every (a, b) for x, every b for exp)
+# spread by up to 1.6e-14 in criterion 5's sweep; rank_candidates ties R^2
+# at 1e-10.
+COARSE_TIE_TOL = 1e-12
+
 # strong Wolfe conditions: sufficient decrease (c1) and curvature (c2),
 # 0 < c1 < c2 < 1, and the most trial steps one line search takes
 WOLFE_C1 = 1e-4
@@ -280,6 +287,13 @@ def _solve_cd(z, ys):
     return c, d, float(r @ r)
 
 
+def _first_least(sse, syy):
+    """The index of the first SSE, in grid order, within COARSE_TIE_TOL * syy
+    of the least."""
+    near = sse <= sse.min() + COARSE_TIE_TOL * syy
+    return np.unravel_index(int(np.argmax(near)), sse.shape)
+
+
 # f and the sums overflow at grid points far from the data (exp, cosh, large
 # targets); those points come out non-finite and are skipped
 @np.errstate(all="ignore")
@@ -287,7 +301,8 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
     """The coarse pass of a snap fit.
 
     Picks the grid (a, b) whose closed-form (c, d) fits the coarse samples
-    best, then solves (c, d) on all of xs. A grid point is feasible where
+    best, the first in grid order among SSEs that tie within
+    COARSE_TIE_TOL, then solves (c, d) on all of xs. A grid point is feasible where
     ``domain`` holds over the range of a*x + b on all of xs, taken at its
     two extreme x (``coarse.span``), and f is finite on the coarse samples.
     Returns ([a, b, c, d], the SSE of that fit on all of xs).
@@ -324,8 +339,7 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
     feas &= np.isfinite(sse)
     if not feas.any():
         raise NoValidCandidateError("no feasible grid point gives a finite fit")
-    ia, ib = np.unravel_index(int(np.argmin(np.where(feas, sse, np.inf))),
-                              sse.shape)
+    ia, ib = _first_least(np.where(feas, sse, np.inf), coarse.syy)
     a0, b0 = float(coarse.a_vals[ia]), float(coarse.b_vals[ib])
     c0, d0, sse0 = _solve_cd(f(a0 * xs + b0), ys)
     return np.array([a0, b0, c0, d0]), sse0

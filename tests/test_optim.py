@@ -1,5 +1,6 @@
 """Tests for the BFGS minimizer and the affine-wrap curve fitter."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -183,6 +184,39 @@ class TestFitAffineWrap:
                     for a in coarse.a_vals for b in coarse.b_vals]
         best = min(s for s in sses if np.isfinite(s))
         assert sse0 == pytest.approx(best, rel=1e-9)
+
+
+class TestCoarseTies:
+    """Grid points whose SSEs tie up to rounding resolve to the first in
+    grid order, however the sums were grouped."""
+
+    def test_ulp_shifts_of_tied_sses_keep_the_start(self):
+        sse, syy = np.full((4, 5), 3.0), 10.0
+        tied = [(1, 3), (2, 0), (3, 4)]
+        for shifts in itertools.product(range(-4, 5), repeat=len(tied)):
+            for ij, k in zip(tied, shifts):
+                sse[ij] = 1.0 + k * np.spacing(1.0)
+            assert optim._first_least(sse, syy) == (1, 3), shifts
+        # a later point better by more than rounding still wins
+        sse[3, 4] = 1.0 - 1e-9 * syy
+        assert optim._first_least(sse, syy) == (3, 4)
+
+    def test_flat_candidates_start_at_the_first_grid_point(self):
+        # every (a, b) fits x equally, and every b fits exp at one a; the
+        # start must not depend on the order in which the samples are summed
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(0.2, 5.0, 120)
+        ys = np.tanh(xs - 1.0) + 0.01 * rng.standard_normal(120)
+        perm = rng.permutation(120)
+        for name in ("x", "exp"):
+            cand = candidate_by_name(name)
+            starts = [optim.affine_start(
+                cand.fn, x, y, optim.CoarseGrid.over(x, y),
+                domain=cand.domain)[0][:2] for x, y in
+                ((xs, ys), (xs[perm], ys[perm]))]
+            assert np.array_equal(*starts), name
+            if name == "x":
+                assert starts[0][0] == 0.1 and starts[0][1] == -10.0
 
 
 class TestMirrorHalf:
