@@ -29,11 +29,9 @@ STATUS_LINE_SEARCH_FAILURE = "line-search-failure"
 
 ZERO_VARIANCE_TOL = 1e-12
 
-# Coarse SSEs within COARSE_TIE_TOL * (sum of squared centred targets) of the
-# least tie, and the first such grid point wins whatever the BLAS kernel's
-# rounding. Mathematically tied points (every (a, b) for x, every b for exp)
-# spread by up to 1.6e-14 in criterion 5's sweep; rank_candidates ties R^2
-# at 1e-10.
+# coarse SSEs within this share of syy (the centred targets' sum of squares)
+# of the least tie: mathematically tied points (every (a, b) for x, every b
+# for exp) spread by up to 1.6e-14 of syy over criterion 5's sweep
 COARSE_TIE_TOL = 1e-12
 
 # strong Wolfe conditions: sufficient decrease (c1) and curvature (c2),
@@ -289,7 +287,7 @@ def _solve_cd(z, ys):
 
 def _first_least(sse, syy):
     """The index of the first SSE, in grid order, within COARSE_TIE_TOL * syy
-    of the least."""
+    of the least, so that ties up to rounding resolve alike on any BLAS."""
     near = sse <= sse.min() + COARSE_TIE_TOL * syy
     return np.unravel_index(int(np.argmax(near)), sse.shape)
 
@@ -298,14 +296,12 @@ def _first_least(sse, syy):
 # targets); those points come out non-finite and are skipped
 @np.errstate(all="ignore")
 def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
-    """The coarse pass of a snap fit.
-
-    Picks the grid (a, b) whose closed-form (c, d) fits the coarse samples
-    best, the first in grid order among SSEs that tie within
-    COARSE_TIE_TOL, then solves (c, d) on all of xs. A grid point is feasible where
-    ``domain`` holds over the range of a*x + b on all of xs, taken at its
-    two extreme x (``coarse.span``), and f is finite on the coarse samples.
-    Returns ([a, b, c, d], the SSE of that fit on all of xs).
+    """The coarse pass of a snap fit: the grid (a, b) whose closed-form
+    (c, d) fits the coarse samples best (_first_least), with (c, d) then
+    solved on all of xs. A point is feasible where ``domain`` holds over the
+    range of a*x + b on all of xs (``coarse.span``, at the two extreme x)
+    and f is finite on the coarse samples. Returns ([a, b, c, d], the SSE of
+    that fit on all of xs).
     """
     xs, ys = _check_samples(xs, ys)
     u = coarse.u

@@ -54,14 +54,10 @@ class CandidateFunction:
         return f"CandidateFunction({self.name!r})"
 
 
-# every domain in _LIBRARY is the reals, an interval or the reals without 0
+# every domain in _LIBRARY is the reals, an interval (tested at both ends of a
+# range) or the reals without 0
 def _all(lo, hi):
     return np.ones(np.shape(lo), dtype=bool)
-
-
-def _interval(inside):
-    """The interval where `inside(u)` holds: it holds a range's two ends."""
-    return lambda lo, hi: inside(lo) & inside(hi)
 
 
 def _one_sign(lo, hi):
@@ -133,18 +129,18 @@ _LIBRARY = [
     CandidateFunction("1/x^4", _inv4, lambda u: -4.0 * _inv5(u), _one_sign, 3,
                       "1/{}^4", "even", ""),
     CandidateFunction("sqrt", np.sqrt, lambda u: 0.5 / np.sqrt(u),
-                      _interval(lambda u: u >= 0.0), 2, "sqrt({})", "", ""),
+                      lambda lo, hi: lo >= 0.0, 2, "sqrt({})", "", ""),
     CandidateFunction("1/sqrt", lambda u: 1.0 / np.sqrt(u),
                       lambda u: -0.5 * _inv_sqrt3(u),
-                      _interval(lambda u: u > 0.0), 3, "1/sqrt({})", "",
+                      lambda lo, hi: lo > 0.0, 3, "1/sqrt({})", "",
                       ""),
     CandidateFunction("exp", np.exp, np.exp, _all, 3, "exp({})", "", ""),
     CandidateFunction("log", np.log, lambda u: 1.0 / u,
-                      _interval(lambda u: u > 0.0), 3, "log({})", "", ""),
+                      lambda lo, hi: lo > 0.0, 3, "log({})", "", ""),
     CandidateFunction("abs", np.abs, np.sign, _all, 3, "abs({})", "even", ""),
     CandidateFunction("sin", np.sin, np.cos, _all, 4, "sin({})", "odd", ""),
     CandidateFunction("tan", np.tan, lambda u: _inv2(np.cos(u)),
-                      _interval(lambda u: np.abs(u) < np.pi / 2), 4,
+                      lambda lo, hi: (lo > -np.pi / 2) & (hi < np.pi / 2), 4,
                       "tan({})", "odd", ""),
     CandidateFunction("tanh", np.tanh, lambda u: 1.0 - np.tanh(u) ** 2, _all,
                       4, "tanh({})", "odd", ""),
@@ -152,12 +148,12 @@ _LIBRARY = [
                       "sign({})", "odd", ""),
     CandidateFunction("arcsin", np.arcsin,
                       lambda u: 1.0 / np.sqrt(1.0 - u ** 2),
-                      _interval(lambda u: np.abs(u) <= 1.0), 5,
+                      lambda lo, hi: (lo >= -1.0) & (hi <= 1.0), 5,
                       "arcsin({})", "odd", ""),
     CandidateFunction("arctan", np.arctan, lambda u: 1.0 / (1.0 + u ** 2),
                       _all, 4, "arctan({})", "odd", ""),
     CandidateFunction("arctanh", np.arctanh, lambda u: 1.0 / (1.0 - u ** 2),
-                      _interval(lambda u: np.abs(u) < 1.0), 5,
+                      lambda lo, hi: (lo > -1.0) & (hi < 1.0), 5,
                       "arctanh({})", "odd", ""),
     CandidateFunction("0", lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                       lambda u: np.zeros_like(np.asarray(u, dtype=float)),
