@@ -202,7 +202,7 @@ def bfgs_minimize(fun, x0, opts: OptimOptions | None = None) -> OptimResult:
 
 @dataclass(frozen=True)
 class AffineSearchGrid:
-    """Coarse (a, b) search specification for fit_affine_wrap."""
+    """Coarse (a, b) search specification of a snap fit, and its polish."""
 
     a_magnitudes: np.ndarray = field(
         default_factory=lambda: np.geomspace(0.1, 10.0, 41))
