@@ -1,7 +1,7 @@
 """KAN-based symbolic regression with a hydrology evaluation harness."""
 
-from . import bspline, cli, harness, hydro, kan, metrics, optim, symbolic
+from . import bspline, harness, hydro, kan, metrics, optim, symbolic
 
-__all__ = ["bspline", "cli", "harness", "hydro", "kan", "metrics", "optim",
+__all__ = ["bspline", "harness", "hydro", "kan", "metrics", "optim",
            "symbolic"]
 __version__ = "0.1.0"

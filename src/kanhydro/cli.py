@@ -7,8 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 runtime/optimizer failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -53,10 +51,16 @@ def _summary_text(report: harness.FitReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_fit(args) -> int:
-    ds = hydro.load_catchments(args.data, strict=args.strict)
+def _load_catchments(path, strict):
+    """The catchment file, its loader warnings printed to stderr."""
+    ds = hydro.load_catchments(path, strict=strict)
     for w in ds.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    return ds
+
+
+def _cmd_fit(args) -> int:
+    ds = _load_catchments(args.data, args.strict)
     if args.config:
         try:
             config = harness.GridSearchConfig.from_json(
@@ -98,7 +102,7 @@ def _cmd_evaluate(args) -> int:
     if args.repeats < 0:
         raise InvalidArgumentError(
             f"--repeats must be >= 0, got {args.repeats}")
-    ds = hydro.load_catchments(args.data, strict=args.strict)
+    ds = _load_catchments(args.data, args.strict)
     fn, default_target = _model_callable(args.model)
     target = args.target or default_target
     if target is None:
@@ -140,62 +144,11 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _read_columns(path, names):
-    """The named columns of a comma-separated file, parsed as floats, as one
-    (columns, rows) array.
-
-    Blank lines are skipped. At most hydro.BLOCK_ROWS rows are held as text
-    at once: each block's columns are parsed before the next block is read.
-    The first faulty row stops the read: a short or non-numeric one is named
-    by its line, and one the CSV reader rejects makes the text unreadable."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            index = {h: k for k, h in enumerate(header)}
-            for name in names:
-                if name not in index:
-                    raise CsvParseError(f"{path}: missing column {name!r}")
-            picks = [index[name] for name in names]
-            blocks = []
-            fault, more = None, True  # fault: the error that ends the read
-            while more and fault is None:
-                nums, texts = [], tuple([] for _ in names)
-                more = False
-                try:
-                    for row in itertools.islice(reader, hydro.BLOCK_ROWS):
-                        more = True
-                        if not row:
-                            continue  # blank
-                        if len(row) < len(header):
-                            fault = CsvParseError(
-                                f"{path}:{reader.line_num}: expected "
-                                f"{len(header)} fields, got {len(row)}")
-                            break
-                        nums.append(reader.line_num)
-                        for text, k in zip(texts, picks):
-                            text.append(row[k])
-                except csv.Error as exc:
-                    fault = CsvParseError(
-                        f"{path}: unreadable CSV text ({exc})")
-                # a non-numeric value comes before the fault that ended the
-                # block, if any
-                block, bad = hydro.parse_floats(texts)
-                if bad is not None:
-                    n, k, exc = bad
-                    fault = CsvParseError(
-                        f"{path}:{nums[n]}: non-numeric value in "
-                        f"{names[k]!r}: {exc}")
-                blocks.append(block)
-    except UnicodeDecodeError as exc:
-        raise CsvParseError(f"{path}: unreadable CSV text ({exc})") from exc
-    if fault is not None:
-        raise fault
-    return np.concatenate(blocks, axis=1)
-
-
 def _cmd_metrics(args) -> int:
-    obs, sim = _read_columns(args.data, [args.obs_col, args.sim_col])
+    scan = hydro.scan_csv(args.data, [args.obs_col, args.sim_col])
+    if scan.fault is not None:
+        raise scan.fault
+    obs, sim = scan.floats
     print(json.dumps(metrics.all_metrics(obs, sim), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -208,7 +161,7 @@ def _cmd_plotdata(args) -> int:
         models.append((name, fn))
     scatter = None
     if args.data:
-        scatter = hydro.load_catchments(args.data, strict=False)
+        scatter = _load_catchments(args.data, False)
     companion = harness.emit_plot_data(models, scatter,
                                        (args.phi_min, args.phi_max, args.step),
                                        args.out)

@@ -12,6 +12,8 @@ import contextlib
 import csv
 import itertools
 from dataclasses import dataclass, field
+from operator import eq
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,97 +234,141 @@ def parse_floats(texts):
         raise
 
 
-def _kept_rows(reader, width, gi, name):
-    """Yield (line number, gauge id, fields) for each row of a catchment
-    file after its header, skipping blank rows; the first short or
-    unparsable row raises CsvParseError."""
+class CsvColumns(NamedTuple):
+    """The wanted columns of a CSV file, as scan_csv read them."""
+
+    name: str  # the path, or "<stream>", as the messages name the file
+    header: list  # the header's names, stripped
+    floats: np.ndarray  # (float columns, rows)
+    texts: list  # one list of stripped strings per text column
+    lines: array.array  # the physical line each row starts on
+    fault: CsvParseError | None  # the row fault that ended the scan
+
+
+def scan_csv(source, floats, texts=()) -> CsvColumns:
+    """Read the named float and text columns of a comma-separated file (a
+    path or a text stream), by the rules of every CSV the CLI reads.
+
+    Header names are stripped. A row whose fields are all whitespace is
+    blank: it is skipped, but its lines count. A row with fewer fields than
+    the header is short. Lines end in LF, CRLF or a lone CR, a quoted field
+    may span lines, and a row is named by the physical line it starts on.
+    Float fields parse as float() does; text fields are stripped.
+
+    The first faulty row ends the scan: a short one (`NAME:LINE: expected W
+    fields, got N`), one with a non-numeric float field (`NAME:LINE:
+    non-numeric value in 'COL': ...`) or one the CSV reader rejects, such as
+    a field beyond its size limit (`NAME:LINE: unreadable CSV text (...)`).
+    Its fault is returned with the rows before it, not raised, so that a
+    caller can report an earlier fault of its own first. A file that cannot
+    be opened, is not UTF-8 text (`NAME: not UTF-8 text (...)`), is empty
+    or lacks a wanted column raises CsvParseError.
+
+    At most BLOCK_ROWS rows are held as text at once: each block's columns
+    are parsed before the next block is read."""
+    if hasattr(source, "read"):
+        name, opened = "<stream>", contextlib.nullcontext(source)
+    else:
+        name = str(source)
+        try:
+            opened = open(source, "r", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise CsvParseError(f"cannot read {name}: {exc}") from exc
+    with opened as fh:
+        try:
+            return _scan(csv.reader(fh), name, floats, texts)
+        except UnicodeDecodeError as exc:
+            raise CsvParseError(f"{name}: not UTF-8 text ({exc})") from exc
+
+
+def _scan(reader, name, floats, texts) -> CsvColumns:
+    """scan_csv on an open file's CSV reader."""
     try:
-        for line_no, row in enumerate(reader, start=2):
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise CsvParseError(f"{name}:1: unreadable CSV text ({exc})") from exc
+    if header is None:
+        raise CsvParseError(f"{name}: empty file")
+    header = [h.strip() for h in header]
+    missing = [c for c in (*floats, *texts) if c not in header]
+    if missing:
+        raise CsvParseError(f"{name}: missing columns {missing}")
+    width = len(header)
+    fpicks = [header.index(c) for c in floats]
+    tpicks = [header.index(c) for c in texts]
+
+    end = reader.line_num  # the line the last row ended on
+    values, columns, lines = [], [[] for _ in texts], array.array("q")
+    fault, full = None, True
+    while full and fault is None:
+        # a block's fields go onto one flat list, and the length of the list
+        # after each row marks where that row ends; while every row has one
+        # line and the header's width, the columns are slices of the list
+        flat, bounds, error = [], [], None
+        try:
+            bounds.extend(itertools.islice(
+                map(len, map(flat.__iadd__, reader)), BLOCK_ROWS))
+        except csv.Error as exc:  # bounds has the rows before it
+            error = exc
+        full = len(bounds) == BLOCK_ROWS
+        simple = (error is None and reader.line_num - end == len(bounds)
+                  and all(map(eq, bounds, itertools.count(width, width))))
+        if simple:
+            starts = range(end + 1, reader.line_num + 1)
+            parsed, bad = parse_floats([flat[k::width] for k in fpicks])
+        if not simple or bad is not None:
+            flat, starts, fault = _by_rows(flat, bounds, end + 1, width,
+                                           name, error)
+            parsed, bad = parse_floats([flat[k::width] for k in fpicks])
+        if bad is not None:
+            n, k, exc = bad
+            fault = CsvParseError(f"{name}:{starts[n]}: non-numeric value in "
+                                  f"{floats[k]!r}: {exc}")
+            starts = starts[:n]
+        end = reader.line_num
+        values.append(parsed)
+        lines.extend(starts)
+        for column, k in zip(columns, tpicks):
+            column += map(str.strip, flat[k:width * len(starts):width])
+    return CsvColumns(name, header, np.concatenate(values, axis=1), columns,
+                      lines, fault)
+
+
+def _by_rows(flat, bounds, line, width, name, error):
+    """Read a block row by row from its flat fields and row ends, starting
+    on the given line: blank rows are dropped, and a short row ends the
+    block before the CSV reader's error, if any, does.
+
+    Returns the kept rows' fields as one flat list, the line each kept row
+    starts on, and the fault that ends the block or None."""
+    starts, kept = [], []
+    for start, stop in zip([0, *bounds], bounds):
+        row = flat[start:stop]
+        if "".join(row).strip():
             if len(row) < width:
-                if "".join(row).strip():
-                    raise CsvParseError(f"{name}:{line_no}: expected {width} "
-                                        f"fields, got {len(row)}")
-                continue  # blank
-            gauge = row[gi].strip()
-            if gauge or "".join(row).strip():
-                yield line_no, gauge, row
-    except csv.Error as exc:  # e.g. an oversized field
-        raise CsvParseError(f"{name}:{reader.line_num}: {exc}") from exc
+                return kept, starts, CsvParseError(
+                    f"{name}:{line}: expected {width} fields, got {len(row)}")
+            kept += row[:width]
+            starts.append(line)
+        # the line breaks (LF, CRLF or a lone CR) in quoted fields
+        text = ",".join(row)
+        line += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+    return kept, starts, None if error is None else CsvParseError(
+        f"{name}:{line}: unreadable CSV text ({error})")
 
 
 def load_catchments(path, strict: bool = True) -> CatchmentDataset:
-    """Load and validate the comma-separated catchment file.
+    """Load and validate the comma-separated catchment file, read by
+    scan_csv.
 
-    The first faulty line stops the load, naming the first of: too few
-    fields or unparsable CSV, a non-numeric field, a duplicate gauge id, a
-    broken invariant. Rows violating the water balance (qb + qd > p) are
-    warned about, and excluded in strict mode (still counting as
-    duplicates).
-
-    At most BLOCK_ROWS rows are held as text at once: each block's numeric
-    fields are parsed before the next block is read, and the checks run on
-    the parsed columns."""
-    if hasattr(path, "read"):
-        name, opened = "<stream>", contextlib.nullcontext(path)
-    else:
-        name = str(path)
-        try:
-            opened = open(path, "r", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise CsvParseError(f"cannot read {name}: {exc}") from exc
-
-    with opened as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise CsvParseError(f"{name}: empty file")
-            header = [h.strip() for h in header]
-            missing = [c for c in REQUIRED_COLUMNS if c not in header]
-            if missing:
-                raise CsvParseError(
-                    f"{name}: missing required columns {missing}")
-            extra = [c for c in header if c not in REQUIRED_COLUMNS]
-            warnings = [f"ignoring extra columns {extra}"] if extra else []
-            gi, pi, peti, qbi, qdi = (header.index(c)
-                                      for c in REQUIRED_COLUMNS)
-
-            # the rows stream through in blocks; a block keeps its ids, line
-            # numbers and numeric fields as text, one list per column, until
-            # it is parsed, and messages are built for failing lines only
-            rows = _kept_rows(reader, len(header), gi, name)
-            ids, lines, blocks = [], array.array("q"), []
-            fault, full = None, True  # fault: the error that ends the scan
-            while full and fault is None:
-                gauges, nums, texts = [], [], ([], [], [], [])
-                p_s, pet_s, qb_s, qd_s = texts
-                try:
-                    for line_no, gauge, row in itertools.islice(rows,
-                                                                BLOCK_ROWS):
-                        gauges.append(gauge)
-                        nums.append(line_no)
-                        p_s.append(row[pi])
-                        pet_s.append(row[peti])
-                        qb_s.append(row[qbi])
-                        qd_s.append(row[qdi])
-                except CsvParseError as exc:
-                    fault = exc
-                full = len(nums) == BLOCK_ROWS
-                # a non-numeric field comes before the fault that ended the
-                # block, if any
-                block, bad = parse_floats(texts)
-                if bad is not None:
-                    fault = CsvParseError(f"{name}:{nums[bad[0]]}: "
-                                          f"non-numeric field ({bad[2]})")
-                ids += gauges[:block.shape[1]]
-                lines += array.array("q", nums[:block.shape[1]])
-                blocks.append(block)
-        except csv.Error as exc:  # in the header
-            raise CsvParseError(f"{name}:{reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise CsvParseError(f"{name}: not UTF-8 text ({exc})") from exc
-    cols = np.concatenate(blocks, axis=1)
-    del blocks
+    The first faulty line stops the load, naming the first of: a fault that
+    ends the scan, a duplicate gauge id, a broken invariant. Rows violating
+    the water balance (qb + qd > p) are warned about, and excluded in strict
+    mode (still counting as duplicates)."""
+    name, header, cols, (ids,), lines, fault = scan_csv(
+        path, list(RAW_COLUMNS), ["gauge_id"])
+    extra = [c for c in header if c not in REQUIRED_COLUMNS]
+    warnings = [f"ignoring extra columns {extra}"] if extra else []
     p, pet, qb, qd = cols
 
     n, seen = len(ids), {}

@@ -1,11 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kanhydro import cli, hydro, kan, symbolic
+from kanhydro.errors import CsvParseError
 
 GOOD_CSV = """gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr
 g01,1000,500,300,200
@@ -53,6 +61,25 @@ class TestEvaluate:
     def test_missing_data_file(self, capsys):
         assert cli.main(["evaluate", "--data", "/no/such.csv",
                          "--model", "kan_fb"]) == 1
+
+    def test_strict_exclusion_is_warned_about(self, tmp_path, capsys):
+        data = tmp_path / "c.csv"
+        data.write_text("gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr\n"
+                        "g1,1000,500,300,200\n"
+                        "g2,100,800,90,30\n"
+                        "g3,900,1100,150,100\n"
+                        "g4,1200,600,500,300\n")
+        assert cli.main(["evaluate", "--data", str(data), "--model",
+                         "kan_fb", "--strict"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["n"] == 3
+        assert ("warning: line 3: gauge 'g2' has qb + qd > p" in err
+                and "warning: excluded 1 water-balance-violating row(s)"
+                in err)
+        assert cli.main(["plotdata", "--models", "kan_fb", "--data",
+                         str(data), "--out", str(tmp_path / "p.csv")]) == 0
+        assert ("warning: line 3: gauge 'g2' has qb + qd > p"
+                in capsys.readouterr().err)
 
     def test_negative_repeats_rejected(self, data_file, capsys):
         assert cli.main(["evaluate", "--data", data_file, "--model",
@@ -208,6 +235,21 @@ class TestSynthAndMetrics:
         assert (f"error: {data}:3: expected 2 fields, got 1"
                 in capsys.readouterr().err)
 
+    def test_metrics_header_names_are_stripped(self, tmp_path, capsys):
+        data = tmp_path / "padded.csv"
+        data.write_text("phi, y\n1,2\n3,4\n5,7\n")
+        assert cli.main(["metrics", "--data", str(data),
+                         "--obs-col", "phi", "--sim-col", "y"]) == 0
+        assert json.loads(capsys.readouterr().out)["r2"] == pytest.approx(
+            np.corrcoef([1, 3, 5], [2, 4, 7])[0, 1] ** 2)
+
+    def test_metrics_skips_whitespace_only_lines(self, tmp_path, capsys):
+        data = tmp_path / "spaces.csv"
+        data.write_text("phi,y\n1,2\n   \n3,4\n , \n5,7\n")
+        assert cli.main(["metrics", "--data", str(data),
+                         "--obs-col", "y", "--sim-col", "y"]) == 0
+        assert json.loads(capsys.readouterr().out)["rmse"] == 0.0
+
     @pytest.mark.parametrize("block_rows", [2, hydro.BLOCK_ROWS],
                              ids=lambda rows: f"block{rows}")
     def test_metrics_non_numeric_names_its_line(self, tmp_path, capsys,
@@ -222,16 +264,17 @@ class TestSynthAndMetrics:
         assert (f"error: {data}:5: non-numeric value in 'y': could not "
                 f"convert string to float: 'x'" in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("text", [
-        b"phi,y\n1,2\n\xff,3\n",
-        b'phi,y\n"' + b"9" * 200_000 + b'",3\n',  # beyond csv's field limit
+    @pytest.mark.parametrize("text, expected", [
+        (b"phi,y\n1,2\n\xff,3\n", ": not UTF-8 text"),
+        # beyond csv's field limit
+        (b'phi,y\n"' + b"9" * 200_000 + b'",3\n', ":2: unreadable CSV text"),
     ], ids=["non-utf8", "oversized-field"])
-    def test_metrics_unreadable_file(self, tmp_path, capsys, text):
+    def test_metrics_unreadable_file(self, tmp_path, capsys, text, expected):
         data = tmp_path / "bad.csv"
         data.write_bytes(text)
         assert cli.main(["metrics", "--data", str(data),
                          "--obs-col", "phi", "--sim-col", "y"]) == 1
-        assert f"error: {data}: unreadable CSV text" in capsys.readouterr().err
+        assert f"error: {data}{expected}" in capsys.readouterr().err
 
     def test_synth_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -259,6 +302,95 @@ class TestSynthAndMetrics:
                          "--out", str(out)] + extra) == 1
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOneCsvReader:
+    """The catchment loader and `metrics` read CSV text by the same rules,
+    so they return the same numbers and name the same first fault."""
+
+    HEADER = "gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr"
+
+    def test_fault_after_a_multiline_record_names_its_line(self, tmp_path,
+                                                          capsys):
+        # the quoted gauge id spans lines 2-3, so the bad value is on line 4
+        path = tmp_path / "c.csv"
+        path.write_text(f'{self.HEADER}\n"g\n1",1000,800,300,200\n'
+                        f"g2,oops,800,300,200\n")
+        with pytest.raises(CsvParseError) as err:
+            hydro.load_catchments(path)
+        assert str(err.value).startswith(
+            f"{path}:4: non-numeric value in 'p_mm_yr'")
+        assert cli.main(["metrics", "--data", str(path), "--obs-col",
+                         "p_mm_yr", "--sim-col", "pet_mm_yr"]) == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=st.lists(
+               st.tuples(st.floats(1, 1e4), st.floats(0, 1e4),
+                         st.floats(0, 1e4), st.floats(0, 1e4),
+                         st.booleans(), st.sampled_from(["", "   ", " , ,,"])),
+               min_size=1, max_size=9),
+           ending=st.sampled_from(["\n", "\r\n", "\r"]),
+           fault=st.one_of(st.none(), st.tuples(
+               st.sampled_from(["short", "non_numeric", "unreadable"]),
+               st.integers(0, 8), st.integers(1, 2))),
+           block_rows=st.sampled_from([2, hydro.BLOCK_ROWS]))
+    def test_loader_and_metrics_agree(self, table, ending, fault, block_rows):
+        # each row may have its id quoted across two lines and a blank or
+        # whitespace-only line before it
+        lines, starts = [self.HEADER], []
+        for k, (p, pet, qb, qd, quoted, blank) in enumerate(table):
+            if blank or k % 3 == 1:
+                lines.append(blank)
+            starts.append(len(lines) + 1)
+            gauge = f'"g{ending}{k}"' if quoted else f"g{k}"
+            lines.append(",".join([gauge] + [repr(v) for v in
+                                              (p, pet, qb, qd)]))
+            if quoted:
+                lines.append(None)  # the quoted id's second line
+        if fault is not None:
+            kind, row, col = fault
+            row = min(row, len(table) - 1)
+            at = starts[row] - 1
+            fields = lines[at].split(",")
+            if kind == "short":
+                fields = fields[:-2]
+            elif kind == "non_numeric":
+                fields[col] = "oops"
+            else:
+                fields[col] = '"' + "9" * (csv.field_size_limit() + 1) + '"'
+            lines[at] = ",".join(fields)
+        text = ending.join(x for x in lines if x is not None) + ending
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hydro, "BLOCK_ROWS", block_rows)
+            path = Path(tmp) / "table.csv"
+            path.write_text(text, newline="")
+            if fault is None:
+                ds = hydro.load_catchments(path, strict=False)
+                for pair in (["p_mm_yr", "pet_mm_yr"],
+                             ["qb_mm_yr", "qd_mm_yr"]):
+                    scan = hydro.scan_csv(path, pair)
+                    assert scan.fault is None
+                    assert np.array_equal(
+                        scan.floats, np.vstack([ds.column(c) for c in pair]))
+                assert np.array_equal(
+                    np.vstack([ds.p, ds.pet, ds.qb, ds.qd]),
+                    np.array([row[:4] for row in table]).T)
+                assert scan.lines.tolist() == starts
+                return
+            with pytest.raises(CsvParseError) as err:
+                hydro.load_catchments(path, strict=False)
+            out, errs = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(errs):
+                code = cli.main(["metrics", "--data", str(path), "--obs-col",
+                                 "p_mm_yr", "--sim-col", "pet_mm_yr"])
+        assert code == 1
+        assert errs.getvalue() == f"error: {err.value}\n"
+        expected = {"short": "expected 5 fields, got 3",
+                    "non_numeric": "non-numeric value in",
+                    "unreadable": "unreadable CSV text"}[kind]
+        assert str(err.value).startswith(f"{path}:{starts[row]}: {expected}")
 
 
 class TestPlotData:

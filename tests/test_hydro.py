@@ -226,7 +226,7 @@ class TestLoadCatchments:
     # the row checks in the order the loader applies them to one row
     FAULTS = {"unparsable": (CsvParseError, "field larger than field limit"),
               "short": (CsvParseError, "expected 5 fields"),
-              "non_numeric": (CsvParseError, "non-numeric field"),
+              "non_numeric": (CsvParseError, "non-numeric value in"),
               "duplicate": (DataValidationError, "duplicate gauge_id"),
               "invariant": (DataValidationError, "violates invariants")}
 
