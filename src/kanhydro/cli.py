@@ -146,6 +146,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_metrics(args) -> int:
     scan = hydro.scan_csv(args.data, [args.obs_col, args.sim_col])
+    # (row, column) pairs in the rows before the scan's fault, line by line
+    bad = np.argwhere(~np.isfinite(scan.floats.T))
+    if bad.size:
+        raise DataValidationError(
+            f"{scan.name}:{scan.lines[bad[0, 0]]}: non-finite value in "
+            f"{(args.obs_col, args.sim_col)[bad[0, 1]]!r}")
     if scan.fault is not None:
         raise scan.fault
     obs, sim = scan.floats

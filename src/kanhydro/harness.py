@@ -241,6 +241,8 @@ def grid_search(config: GridSearchConfig, x_train, y_train, *,
     sweep; any other exception propagates.
     Ties break in Cartesian order (shapes, then grid intervals, then seeds).
     """
+    if threads < 1:
+        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
     x_train = np.asarray(x_train, dtype=float).reshape(len(y_train), -1)
     y_train = np.asarray(y_train, dtype=float)
     for shape in config.shapes:

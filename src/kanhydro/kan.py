@@ -416,8 +416,7 @@ def _penalty(edge_outs):
     nz = p > 0.0
     log_p = np.log(p[nz])
     entropy = float(-np.sum(p[nz] * log_p))
-    s = float(np.sum(np.where(nz, p * np.log(np.maximum(p, 1e-300)), 0.0)))
-    weights[nz] = 1.0 + (-log_p + s) / total
+    weights[nz] = 1.0 + (-log_p - entropy) / total
     return total + entropy, weights
 
 

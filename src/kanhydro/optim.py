@@ -300,8 +300,8 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
     (c, d) fits the coarse samples best (_first_least), with (c, d) then
     solved on all of xs. A point is feasible where ``domain`` holds over the
     range of a*x + b on all of xs (``coarse.span``, at the two extreme x)
-    and f is finite on the coarse samples. Returns ([a, b, c, d], the SSE of
-    that fit on all of xs).
+    and its coarse SSE is finite, as the polish requires; a non-finite f(u)
+    makes it NaN. Returns ([a, b, c, d], the SSE of that fit on all of xs).
     """
     xs, ys = _check_samples(xs, ys)
     u = coarse.u
@@ -309,14 +309,7 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
     if not feas.any():
         raise NoValidCandidateError("no feasible (a, b) grid point")
     z = f(u)
-    is_finite = np.isfinite(z)
-    finite = is_finite.all(axis=2)
-    feas &= finite
-    if not feas.any():
-        raise NoValidCandidateError("f not finite at any feasible grid point")
-    if not finite.all():
-        z = np.where(is_finite, z, 0.0)
-    elif np.shares_memory(z, u):
+    if np.shares_memory(z, u):
         z = z.copy()  # centred and squared in place below
 
     # centered sums keep the closed-form SSE stable when z is near-constant
@@ -331,7 +324,7 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
     safe = szz > 1e-24 * scale + 1e-300
     c = np.where(safe, szy / np.where(safe, szz, 1.0), 0.0)
     sse = np.maximum(coarse.syy - c * szy, 0.0)
-    # an overflowed sum leaves a NaN, which np.argmin would pick
+    # a non-finite f(u) or an overflowed sum leaves a NaN, which cannot rank
     feas &= np.isfinite(sse)
     if not feas.any():
         raise NoValidCandidateError("no feasible grid point gives a finite fit")

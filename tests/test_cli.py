@@ -265,6 +265,23 @@ class TestSynthAndMetrics:
                 f"convert string to float: 'x'" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("text, expected", [
+        ("phi,y\n1,2\nnan,3\n3,5\n", ":3: non-finite value in 'phi'"),
+        ("phi,y\n1,2\n\n3,inf\n3,5\n", ":4: non-finite value in 'y'"),
+        ("phi,y\n1,2\n-inf,1e999\nnan,5\n", ":3: non-finite value in 'phi'"),
+        # the scan stops at the non-numeric line, before the NaN
+        ("phi,y\n1,2\n3,x\nnan,5\n", ":3: non-numeric value in 'y'"),
+        ("phi,y\n1,2\n3,nan\n4,x\n", ":3: non-finite value in 'y'"),
+    ], ids=["nan", "inf-after-blank", "first-column", "non-numeric-first",
+            "non-finite-first"])
+    def test_metrics_non_finite_names_its_line(self, tmp_path, capsys, text,
+                                               expected):
+        data = tmp_path / "nonfinite.csv"
+        data.write_text(text)
+        assert cli.main(["metrics", "--data", str(data),
+                         "--obs-col", "phi", "--sim-col", "y"]) == 1
+        assert f"error: {data}{expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, expected", [
         (b"phi,y\n1,2\n\xff,3\n", ": not UTF-8 text"),
         # beyond csv's field limit
         (b'phi,y\n"' + b"9" * 200_000 + b'",3\n', ":2: unreadable CSV text"),
@@ -468,6 +485,15 @@ class TestFit:
                          "--target", "qb_over_p"]) == 0
         scored = json.loads(capsys.readouterr().out)
         assert scored["metrics"]["nse"] > 0.9
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one(self, data_file, tmp_path, capsys, threads):
+        assert cli.main(["fit", "--data", data_file, "--target", "qb_over_p",
+                         "--threads", threads,
+                         "--out", str(tmp_path / "o")]) == 1
+        assert (f"error: threads must be >= 1, got {threads}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_key(self, data_file, tmp_path, capsys):
         # an unknown key, text that is not JSON, JSON that is not an

@@ -210,6 +210,17 @@ class TestGridSearch:
         with pytest.raises(TypeError, match="not a job failure"):
             grid_search(small_config(), phi, ys)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one(self, monkeypatch, threads):
+        def broken(*args, **kwargs):
+            raise TypeError("a job ran")
+
+        monkeypatch.setattr(harness, "run_pipeline", broken)
+        phi, ys = synth(100)
+        with pytest.raises(InvalidArgumentError,
+                           match=f"threads must be >= 1, got {threads}"):
+            grid_search(small_config(), phi, ys, threads=threads)
+
     def test_parallel_matches_serial(self):
         phi, ys = synth(100)
         cfg = small_config(grid_intervals=[3, 5])

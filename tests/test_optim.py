@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kanhydro import optim
 from kanhydro.errors import (
@@ -296,3 +298,72 @@ class TestMirrorHalf:
                                       coarse, domain=EVERYWHERE)
         assert np.array_equal(coarse.u, before)
         assert sse0 == pytest.approx(0.0, abs=1e-12)
+
+
+@np.errstate(all="ignore")
+def masked_affine_start(f, xs, ys, coarse, *, domain):
+    """affine_start with a finite mask besides the SSE test: a grid point
+    where f(u) is not finite is masked out, and its f(u) zero-filled, before
+    the sums are taken."""
+    xs, ys = optim._check_samples(xs, ys)
+    feas = domain(*coarse.span)
+    if not feas.any():
+        raise NoValidCandidateError("no feasible (a, b) grid point")
+    z = f(coarse.u)
+    is_finite = np.isfinite(z)
+    feas &= is_finite.all(axis=2)
+    if not feas.any():
+        raise NoValidCandidateError("f not finite at any feasible grid point")
+    z = np.where(is_finite, z, 0.0)
+    m = z.shape[2]
+    zmean = z.mean(axis=2, keepdims=True)
+    z -= zmean
+    szy = z @ coarse.yc
+    szz = np.square(z, out=z).sum(axis=2)
+    scale = szz + m * zmean[:, :, 0] ** 2
+    safe = szz > 1e-24 * scale + 1e-300
+    c = np.where(safe, szy / np.where(safe, szz, 1.0), 0.0)
+    sse = np.maximum(coarse.syy - c * szy, 0.0)
+    feas &= np.isfinite(sse)
+    if not feas.any():
+        raise NoValidCandidateError("no feasible grid point gives a finite fit")
+    ia, ib = optim._first_least(np.where(feas, sse, np.inf), coarse.syy)
+    a0, b0 = float(coarse.a_vals[ia]), float(coarse.b_vals[ib])
+    c0, d0, sse0 = optim._solve_cd(f(a0 * xs + b0), ys)
+    return np.array([a0, b0, c0, d0]), sse0
+
+
+class TestOneFeasibilityRule:
+    """A non-finite f(u) makes a grid point's SSE NaN, so the SSE test alone
+    drops every point that a finite mask on f(u) would."""
+
+    @staticmethod
+    def _start(fit, cand, xs, ys, coarse):
+        try:
+            start, sse = fit(cand.fn, xs, ys, coarse, domain=cand.domain)
+        except NoValidCandidateError:
+            return None
+        return np.append(start, sse)
+
+    # x from lo to hi crosses 0, so sqrt, log and the 1/x rows go NaN or inf
+    # on part of the grid; at |x| near 50 the sums of exp and cosh overflow,
+    # and past |x| = 70 (a = 10) f(u) itself does, where the domain holds
+    @settings(max_examples=30, deadline=None)
+    @given(lo=st.floats(-100.0, -0.01), hi=st.floats(0.01, 100.0),
+           n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    @example(lo=-50.0, hi=50.0, n=40, seed=0, scale=1.0)
+    @example(lo=-0.5, hi=100.0, n=40, seed=0, scale=1.0)
+    def test_the_sse_test_keeps_every_start(self, lo, hi, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        xs = np.linspace(lo, hi, n)
+        ys = scale * (np.tanh(xs / 10.0) + 0.1 * rng.standard_normal(n))
+        coarse = optim.CoarseGrid.over(xs, ys)
+        half = coarse.mirror_half()
+        for cand in candidate_library():
+            grid = half if cand.parity else coarse
+            got = self._start(optim.affine_start, cand, xs, ys, grid)
+            want = self._start(masked_affine_start, cand, xs, ys, grid)
+            assert (got is None) == (want is None), cand.name
+            if want is not None:
+                assert np.array_equal(got, want, equal_nan=True), cand.name
