@@ -233,8 +233,8 @@ class CoarseGrid:
     a_vals: np.ndarray
     b_vals: np.ndarray
     u: np.ndarray  # a*x + b, shape (a, b, sample)
-    yc: np.ndarray  # centered sub-sampled targets
-    syy: float
+    ys: np.ndarray  # sub-sampled targets
+    syy: float  # their centred sum of squares
     span: np.ndarray  # (lo, hi) of a*x + b over every sample, shape (2, a, b)
 
     @staticmethod
@@ -252,7 +252,7 @@ class CoarseGrid:
             xs, ys = xs[idx], ys[idx]
         u = a_vals[:, None, None] * xs[None, None, :] + b_vals[None, :, None]
         yc = ys - ys.mean()
-        return CoarseGrid(a_vals, b_vals, u, yc, float(yc @ yc), span)
+        return CoarseGrid(a_vals, b_vals, u, ys, float(yc @ yc), span)
 
     def mirror_half(self) -> "CoarseGrid":
         """The a > 0 rows of this grid, as views; the grid itself when its
@@ -267,22 +267,30 @@ class CoarseGrid:
                 and np.array_equal(self.a_vals[half:], -self.a_vals[:half])):
             return self
         return CoarseGrid(self.a_vals[:half], self.b_vals, self.u[:half],
-                          self.yc, self.syy, self.span[:, :half])
+                          self.ys, self.syy, self.span[:, :half])
 
 
 def _solve_cd(z, ys):
-    """Closed-form (c, d) for min ||c z + d - y||^2, plus the SSE."""
-    m = ys.size
-    sz, sy = z.sum(), ys.sum()
-    szz, szy = float(z @ z), float(z @ ys)
-    denom = m * szz - sz * sz
-    if abs(denom) < 1e-12:
-        c, d = 0.0, sy / m
-    else:
-        c = (m * szy - sz * sy) / denom
-        d = (sy - c * sz) / m
-    r = c * z + d - ys
-    return c, d, float(r @ r)
+    """Closed-form (c, d) of min ||c z + d - ys||^2 along z's last axis, and
+    the SSE, from centred sums, which stay exact when z is near-constant:
+    c = S(z - zbar, ys - ybar) / S(z - zbar, z - zbar), d = ybar - c zbar and
+    SSE = syy - c S(z - zbar, ys - ybar). A z constant up to rounding fits
+    c = 0, d = ybar; a non-finite z or an overflowed sum gives a NaN SSE."""
+    ybar = ys.mean()
+    yc = ys - ybar
+    zbar = z.mean(axis=-1, keepdims=True)
+    zc = z - zbar
+    szy = zc @ yc
+    # zbar's rounding shifts every zc alike, by sz / m; taking that shift out
+    # of S(zc, zc) keeps it exact where z spreads by less than 1e-8 of zbar
+    sz = zc.sum(axis=-1)
+    szz = np.square(zc, out=zc).sum(axis=-1) - sz * sz / z.shape[-1]
+    zbar = zbar[..., 0]
+    # guard per z against near-constant z; a global threshold would let one
+    # overflowing (a, b) point mask every reasonable candidate
+    safe = szz > 1e-24 * (szz + z.shape[-1] * zbar ** 2) + 1e-300
+    c = np.where(safe, szy / np.where(safe, szz, 1.0), 0.0)
+    return c, ybar - c * zbar, np.maximum(float(yc @ yc) - c * szy, 0.0)
 
 
 def _first_least(sse, syy):
@@ -297,33 +305,17 @@ def _first_least(sse, syy):
 @np.errstate(all="ignore")
 def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
     """The coarse pass of a snap fit: the grid (a, b) whose closed-form
-    (c, d) fits the coarse samples best (_first_least), with (c, d) then
-    solved on all of xs. A point is feasible where ``domain`` holds over the
+    (c, d) (_solve_cd) fits the coarse samples best (_first_least), with
+    (c, d) then solved on all of xs. A point is feasible where ``domain`` holds over the
     range of a*x + b on all of xs (``coarse.span``, at the two extreme x)
     and its coarse SSE is finite, as the polish requires; a non-finite f(u)
     makes it NaN. Returns ([a, b, c, d], the SSE of that fit on all of xs).
     """
     xs, ys = _check_samples(xs, ys)
-    u = coarse.u
     feas = domain(*coarse.span)
     if not feas.any():
         raise NoValidCandidateError("no feasible (a, b) grid point")
-    z = f(u)
-    if np.shares_memory(z, u):
-        z = z.copy()  # centred and squared in place below
-
-    # centered sums keep the closed-form SSE stable when z is near-constant
-    m = u.shape[2]
-    zmean = z.mean(axis=2, keepdims=True)
-    z -= zmean
-    szy = z @ coarse.yc
-    szz = np.square(z, out=z).sum(axis=2)
-    # guard against near-constant z per grid point; a global threshold would
-    # let one overflowing (a, b) point mask every reasonable candidate
-    scale = szz + m * zmean[:, :, 0] ** 2  # = sum of z*z
-    safe = szz > 1e-24 * scale + 1e-300
-    c = np.where(safe, szy / np.where(safe, szz, 1.0), 0.0)
-    sse = np.maximum(coarse.syy - c * szy, 0.0)
+    _, _, sse = _solve_cd(f(coarse.u), coarse.ys)
     # a non-finite f(u) or an overflowed sum leaves a NaN, which cannot rank
     feas &= np.isfinite(sse)
     if not feas.any():
@@ -331,7 +323,7 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
     ia, ib = _first_least(np.where(feas, sse, np.inf), coarse.syy)
     a0, b0 = float(coarse.a_vals[ia]), float(coarse.b_vals[ib])
     c0, d0, sse0 = _solve_cd(f(a0 * xs + b0), ys)
-    return np.array([a0, b0, c0, d0]), sse0
+    return np.array([a0, b0, c0, d0]), float(sse0)
 
 
 def fit_r2(sse: float, ys) -> float:

@@ -1,7 +1,9 @@
 """Tests for the BFGS minimizer and the affine-wrap curve fitter."""
 
 import itertools
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -304,7 +306,7 @@ class TestMirrorHalf:
 def masked_affine_start(f, xs, ys, coarse, *, domain):
     """affine_start with a finite mask besides the SSE test: a grid point
     where f(u) is not finite is masked out, and its f(u) zero-filled, before
-    the sums are taken."""
+    ``_solve_cd`` takes the sums."""
     xs, ys = optim._check_samples(xs, ys)
     feas = domain(*coarse.span)
     if not feas.any():
@@ -314,23 +316,14 @@ def masked_affine_start(f, xs, ys, coarse, *, domain):
     feas &= is_finite.all(axis=2)
     if not feas.any():
         raise NoValidCandidateError("f not finite at any feasible grid point")
-    z = np.where(is_finite, z, 0.0)
-    m = z.shape[2]
-    zmean = z.mean(axis=2, keepdims=True)
-    z -= zmean
-    szy = z @ coarse.yc
-    szz = np.square(z, out=z).sum(axis=2)
-    scale = szz + m * zmean[:, :, 0] ** 2
-    safe = szz > 1e-24 * scale + 1e-300
-    c = np.where(safe, szy / np.where(safe, szz, 1.0), 0.0)
-    sse = np.maximum(coarse.syy - c * szy, 0.0)
+    _, _, sse = optim._solve_cd(np.where(is_finite, z, 0.0), coarse.ys)
     feas &= np.isfinite(sse)
     if not feas.any():
         raise NoValidCandidateError("no feasible grid point gives a finite fit")
     ia, ib = optim._first_least(np.where(feas, sse, np.inf), coarse.syy)
     a0, b0 = float(coarse.a_vals[ia]), float(coarse.b_vals[ib])
     c0, d0, sse0 = optim._solve_cd(f(a0 * xs + b0), ys)
-    return np.array([a0, b0, c0, d0]), sse0
+    return np.array([a0, b0, c0, d0]), float(sse0)
 
 
 class TestOneFeasibilityRule:
@@ -367,3 +360,111 @@ class TestOneFeasibilityRule:
             assert (got is None) == (want is None), cand.name
             if want is not None:
                 assert np.array_equal(got, want, equal_nan=True), cand.name
+
+
+def exact_cd(z, ys):
+    """(c, SSE, syy) of the least-squares c z + d ~ ys in exact rational
+    arithmetic on the float inputs, with _solve_cd's near-constant guard
+    (c = 0 where S(z - zbar, z - zbar) <= 1e-24 S(z, z)), and that guard's
+    ratio to its threshold."""
+    z = [Fraction(v) for v in z.tolist()]
+    y = [Fraction(v) for v in ys.tolist()]
+    zbar, ybar = sum(z) / len(z), sum(y) / len(y)
+    zc, yc = [v - zbar for v in z], [v - ybar for v in y]
+    szz = sum(v * v for v in zc)
+    szy = sum(a * b for a, b in zip(zc, yc))
+    syy = sum(v * v for v in yc)
+    scale = Fraction(1e-24) * sum(v * v for v in z)
+    ratio = szz / scale if scale else Fraction(0)
+    c = szy / szz if ratio > 1 else Fraction(0)
+    return float(c), float(syy - c * szy), float(syy), float(ratio)
+
+
+class TestOneClosedForm:
+    """_solve_cd's centred sums give (c, d) and the SSE of c f(a x + b) + d
+    on all samples as exactly as the coarse pass ranks them, where f(a x + b)
+    is near-constant: saturated tanh, gaussian tails, exp at large b."""
+
+    @staticmethod
+    def near_constant(kind, spread, depth, x):
+        """f(a x + b) for x in [0, 1] at depth ``depth`` into f's flat part,
+        varying by about ``spread`` of its mean."""
+        if kind == "tanh":  # 1 - tanh(u) ~ 2 exp(-2u)
+            b = 0.5 * math.log(2.0 * (1.0 - math.exp(-2.0)) / spread)
+            return np.tanh(x + b)
+        if kind == "-tanh":
+            b = 0.5 * math.log(2.0 * (1.0 - math.exp(-2.0)) / spread)
+            return np.tanh(-x - b)
+        if kind == "gaussian":  # d log f / du = -2u at u = depth
+            return np.exp(-(spread / (2.0 * depth) * x + depth) ** 2)
+        return np.exp(spread * x + 5.0 * depth)  # exp at b up to 40
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["tanh", "-tanh", "gaussian", "exp"]),
+           log_spread=st.floats(-12.0, -3.0), depth=st.floats(3.0, 8.0),
+           n=st.integers(4, 120), seed=st.integers(0, 2**32 - 1),
+           noise=st.floats(0.0, 1.0), scale=st.floats(1e-3, 1e3))
+    @example(kind="tanh", log_spread=-9.0, depth=3.0, n=80, seed=0,
+             noise=0.1, scale=1.0)
+    @example(kind="exp", log_spread=-6.0, depth=4.0, n=80, seed=0,
+             noise=0.1, scale=1.0)
+    @example(kind="gaussian", log_spread=-3.0, depth=7.0, n=80, seed=0,
+             noise=0.1, scale=1.0)
+    def test_matches_exact_arithmetic(self, kind, log_spread, depth, n, seed,
+                                      noise, scale):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, n)
+        z = self.near_constant(kind, 10.0 ** log_spread, depth, x)
+        ys = scale * (x + noise * rng.standard_normal(n))
+        c_ref, sse_ref, syy, ratio = exact_cd(z, ys)
+        # the guard's decision is compared only away from its threshold
+        if abs(ratio - 1.0) < 1e-6:
+            return
+        c, d, sse = optim._solve_cd(z, ys)
+        assert abs(sse - sse_ref) <= 1e-10 * syy
+        assert c == pytest.approx(c_ref, rel=1e-6, abs=0.0)
+        assert d == pytest.approx(ys.mean() - c_ref * z.mean(), rel=1e-6,
+                                  abs=1e-9 * math.sqrt(syy / n))
+
+    def test_constant_z_fits_the_mean(self):
+        ys = np.array([1.0, 3.0, 2.0, 6.0])
+        for z in (np.full(4, 0.7), np.full(4, 1e300), np.zeros(4)):
+            with np.errstate(over="ignore"):  # the guard's sum of z * z
+                c, d, sse = optim._solve_cd(z, ys)
+            assert (c, d, sse) == (0.0, 3.0, 14.0)
+
+    def test_one_call_per_row_of_the_coarse_grid(self):
+        # on a stack of z rows, each row is fitted as on its own
+        rng = np.random.default_rng(1)
+        z, ys = rng.standard_normal((3, 4, 9)), rng.standard_normal(9)
+        c, d, sse = optim._solve_cd(z, ys)
+        assert c.shape == d.shape == sse.shape == (3, 4)
+        for i, j in itertools.product(range(3), range(4)):
+            row = optim._solve_cd(z[i, j], ys)
+            assert np.allclose(row, (c[i, j], d[i, j], sse[i, j]),
+                               rtol=1e-12, atol=0.0)
+
+    def test_start_sse_is_the_coarse_sse(self):
+        # without sub-sampling the coarse pass sees every sample, so the
+        # start's SSE is the one it ranked the start by; on exp(-x), tanh
+        # and sigmoid start saturated
+        xs = np.linspace(0.2, 5.0, 90)
+        laws = (np.exp(-xs), 1.0 - 1e-6 * xs,
+                0.39 - 0.34 * np.tanh(1.42 * xs - 0.82),
+                np.exp(-((xs - 0.4) ** 2)))
+        for law, cand in itertools.product(laws, candidate_library()):
+            ys = law + 1e-3 * np.sin(7.0 * xs)
+            coarse = optim.CoarseGrid.over(xs, ys)
+            assert coarse.u.shape[2] == xs.size
+            grid = coarse.mirror_half() if cand.parity else coarse
+            try:
+                (a, b, _, _), sse = optim.affine_start(
+                    cand.fn, xs, ys, grid, domain=cand.domain)
+            except NoValidCandidateError:
+                continue
+            ia = int(np.flatnonzero(grid.a_vals == a)[0])
+            ib = int(np.flatnonzero(grid.b_vals == b)[0])
+            with np.errstate(all="ignore"):
+                z = cand.fn(grid.u[ia, ib])
+            _, sse_ref, syy, _ = exact_cd(z, ys)
+            assert abs(sse - sse_ref) <= 1e-12 * syy, (cand.name, a, b)
