@@ -158,17 +158,6 @@ def basis_and_deriv_matrix(grid, xs) -> tuple[np.ndarray, np.ndarray]:
     return _cox_de_boor(*_stacked(grid, xs), want_deriv=True)
 
 
-def spline_eval(grid: KnotGrid, coeffs: SplineCoeffs, x) -> float | np.ndarray:
-    """Evaluate sum_i c_i B_i(x)."""
-    c = coeffs.values
-    if c.shape[0] != grid.num_basis:
-        raise LengthMismatchError(
-            f"coeff length {c.shape[0]} != basis count {grid.num_basis}")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    out = basis_matrix(grid, x) @ c
-    return float(out[0]) if scalar else out
-
-
 def fit_coeffs_least_squares(grid: KnotGrid, xs, ys) -> SplineCoeffs:
     """Least-squares coefficients via ridge-damped normal equations."""
     xs = np.asarray(xs, dtype=float)

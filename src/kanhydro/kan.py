@@ -12,9 +12,11 @@ A layer's edges run as one pass over stacked rows (``_layer_pass``, backward
 ``_layer_back``), as efficient-kan lays a layer out: edge (out_idx, in_idx)
 is row ``out_idx * in_dim + in_idx`` of its (E, N) outputs, so ``_plan`` maps
 the rows onto their blocks of the flat vector in order, and the node sums
-are one reshape-and-sum. ``_forward`` serves training, grid adaptation,
-importances and snapping; ``_minimize_free`` runs BFGS for ``train`` and
-``refine_affine``, reading the parameters from its flat vector.
+are one reshape-and-sum. ``_forward`` serves training, importances and
+snapping; ``adapt_grids`` runs the layers itself, refitting each layer's
+grids before it passes that layer; ``_minimize_free`` runs BFGS for
+``train`` and ``refine_affine``, reading the parameters from its flat
+vector.
 """
 
 from __future__ import annotations
@@ -337,39 +339,16 @@ def _layer_back(lay: _Layer, cache: list, go: np.ndarray,
         lay.out_dim, lay.in_dim, -1).sum(axis=0)
 
 
-def _fit_grid(edge: EdgeActivation, x: np.ndarray) -> None:
-    """Rescale an unlocked edge's grid to its inputs x with a 10% margin,
-    refitting the coefficients so the spline keeps its shape."""
-    lo, hi = float(x.min()), float(x.max())
-    span = 1.0 if hi - lo < 1e-9 else hi - lo
-    lo, hi = lo - GRID_MARGIN * span, hi + GRID_MARGIN * span
-    new_grid = bspline.make_grid(lo, hi, edge.grid.num_intervals,
-                                 edge.grid.order)
-    dense = np.linspace(lo, hi, max(200, 20 * new_grid.num_basis))
-    vals = bspline.spline_eval(edge.grid, edge.coeffs, dense)
-    edge.grid = new_grid
-    edge.coeffs = bspline.fit_coeffs_least_squares(new_grid, dense, vals)
-
-
 # overflow in the edges (silu far below zero is -0.0, cosh far from the data
 # inf) and inf - inf in their sum are legitimate: callers check the result
 @np.errstate(over="ignore", invalid="ignore")
-def _forward(net: KanNetwork, xs: np.ndarray, want_cache: bool,
-             fixed=None, fit_grids: bool = False):
+def _forward(net: KanNetwork, xs: np.ndarray, want_cache: bool, fixed=None):
     """Node values and edge outputs per layer as rows, (dim, N) and (E, N),
     and the backward caches if wanted, at ``fixed`` = (plan, flat parameters)
-    if given. fit_grids first fits unlocked grids (see adapt_grids)."""
-    if xs.shape[1] != net.shape[0]:
-        raise DimMismatchError(
-            f"input dim {xs.shape[1]} != shape[0] = {net.shape[0]}")
+    if given."""
     plan, p = fixed or (_plan(net), net.get_params())
-    acts, outs, caches = [xs.T], [], []
-    for l, layer in enumerate(net.layers):
-        if fit_grids:
-            for r, e in enumerate(e for row in layer.edges for e in row):
-                if e.lock is None:
-                    _fit_grid(e, acts[-1][r % layer.in_dim])
-            plan, p = _plan(net), net.get_params()
+    acts, outs, caches = [_node_rows(net, xs)], [], []
+    for l in range(len(net.layers)):
         o, nodes, cache = _layer_pass(plan[l], p, acts[-1], want_cache)
         acts.append(nodes)
         outs.append(o)
@@ -381,6 +360,14 @@ def forward_batch(net: KanNetwork, xs) -> np.ndarray:
     """Evaluate on a batch (n, in_dim), or 1-D xs as one column: (n, out)."""
     acts, _, _ = _forward(net, _as_batch(xs), want_cache=False)
     return acts[-1].T
+
+
+def _node_rows(net: KanNetwork, xs: np.ndarray) -> np.ndarray:
+    """A batch xs (n, in_dim) as layer 0's node values (in_dim, n)."""
+    if xs.shape[1] != net.shape[0]:
+        raise DimMismatchError(
+            f"input dim {xs.shape[1]} != shape[0] = {net.shape[0]}")
+    return xs.T
 
 
 def _as_batch(xs) -> np.ndarray:
@@ -462,15 +449,41 @@ def loss_and_gradient(net: KanNetwork, xs, ys, lam: float, *, _fixed=None):
     return loss, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in _forward
 def adapt_grids(net: KanNetwork, xs) -> KanNetwork:
-    """Rescale each edge's grid to its observed inputs with a 10% margin.
+    """Rescale each unlocked edge's grid to its observed inputs with a 10%
+    margin, refitting its coefficients to the old spline on a dense sample
+    of the new domain, so the spline keeps its shape there.
 
-    Layers are processed in order so later layers see activations computed
-    with already-rescaled grids. Coefficients are refit so the spline keeps
-    its current shape over the new domain.
+    One layer at a time: a layer's inputs come from the layers before it on
+    their rescaled grids. A layer's old splines are evaluated in one stacked
+    basis call, with ``_layer_pass``'s product.
     """
     net = net.clone()
-    _forward(net, _as_batch(xs), want_cache=False, fit_grids=True)
+    x = _node_rows(net, _as_batch(xs))
+    for l, layer in enumerate(net.layers):
+        edges = [(r, e) for r, e in enumerate(e for row in layer.edges
+                                              for e in row) if e.lock is None]
+        grids, dense = [], []
+        for r, e in edges:
+            xr = x[r % layer.in_dim]
+            lo, hi = float(xr.min()), float(xr.max())
+            span = 1.0 if hi - lo < 1e-9 else hi - lo
+            lo, hi = lo - GRID_MARGIN * span, hi + GRID_MARGIN * span
+            grids.append(bspline.make_grid(lo, hi, e.grid.num_intervals,
+                                           e.grid.order))
+            dense.append(np.linspace(lo, hi, max(200, 20 * e.grid.num_basis)))
+        if edges:
+            old = bspline.basis_matrix(
+                bspline.stack_grids([e.grid for _, e in edges]),
+                np.stack(dense)).reshape(len(edges), len(dense[0]), -1)
+            c = np.stack([e.coeffs.values for _, e in edges])
+            vals = (old @ c[:, :, None])[..., 0]
+            for (_, e), grid, d, v in zip(edges, grids, dense, vals):
+                e.grid = grid
+                e.coeffs = bspline.fit_coeffs_least_squares(grid, d, v)
+        if l + 1 < len(net.layers):
+            x = _layer_pass(_plan(net)[l], net.get_params(), x, False)[1]
     return net
 
 

@@ -105,7 +105,7 @@ class TestForward:
         edge.w_b, edge.w_c = 0.7, 1.3
         xs = np.random.default_rng(0).uniform(-3, 3, 1000)
         expect = (edge.w_b * xs / (1.0 + np.exp(-xs)) + edge.w_c
-                  * bspline.spline_eval(edge.grid, edge.coeffs, xs))
+                  * (bspline.basis_matrix(edge.grid, xs) @ edge.coeffs.values))
         assert forward_batch(net, xs)[:, 0] == pytest.approx(
             expect, rel=1e-12, abs=1e-12)
 
