@@ -30,11 +30,12 @@ class RankDeficientError(KanHydroError):
 
 
 class DomainViolationError(KanHydroError, ValueError):
-    """A symbolic primitive was evaluated outside its domain."""
+    """A symbolic primitive left its domain, first at batch row ``row``."""
 
-    def __init__(self, message, node_path=None):
+    def __init__(self, message, node_path=None, row=None):
         super().__init__(message)
         self.node_path = node_path
+        self.row = row
 
 
 class UnlockedEdgesError(KanHydroError):

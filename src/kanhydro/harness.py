@@ -21,6 +21,7 @@ import numpy as np
 
 from . import hydro, kan, metrics, symbolic
 from .errors import (
+    DomainViolationError,
     InvalidArgumentError,
     KanHydroError,
     TooSmallDatasetError,
@@ -312,7 +313,15 @@ def finalize(best_hp: HyperPoint, x_train, y_train, x_test, y_test,
                        prune_threshold=config.prune_threshold,
                        train_max_iters=config.train_max_iters)
     pred_train = symbolic.eval_expression(res.formula, x_train)
-    pred_test = symbolic.eval_expression(res.formula, x_test)
+    try:
+        pred_test = symbolic.eval_expression(res.formula, x_test)
+    except DomainViolationError as exc:
+        if exc.row is None:
+            raise
+        raise DomainViolationError(
+            f"row {exc.row} of the test split (aridity index "
+            f"{float(x_test[exc.row, 0])!r}): {exc}", exc.node_path,
+            exc.row) from exc
     train_m = metrics.all_metrics(y_train, pred_train)
     test_m = metrics.all_metrics(y_test, pred_test)
 

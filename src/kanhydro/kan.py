@@ -13,10 +13,8 @@ A layer's edges run as one pass over stacked rows (``_layer_pass``, backward
 is row ``out_idx * in_dim + in_idx`` of its (E, N) outputs, so ``_plan`` maps
 the rows onto their blocks of the flat vector in order, and the node sums
 are one reshape-and-sum. ``_forward`` serves training, importances and
-snapping; ``adapt_grids`` runs the layers itself, refitting each layer's
-grids before it passes that layer; ``_minimize_free`` runs BFGS for
-``train`` and ``refine_affine``, reading the parameters from its flat
-vector.
+snapping (``adapt_grids`` refits a layer before it passes it);
+``_minimize_free`` runs BFGS for ``train`` and ``refine_affine``.
 """
 
 from __future__ import annotations
@@ -347,7 +345,7 @@ def _forward(net: KanNetwork, xs: np.ndarray, want_cache: bool, fixed=None):
     and the backward caches if wanted, at ``fixed`` = (plan, flat parameters)
     if given."""
     plan, p = fixed or (_plan(net), net.get_params())
-    acts, outs, caches = [_node_rows(net, xs)], [], []
+    acts, outs, caches = [xs.T], [], []
     for l in range(len(net.layers)):
         o, nodes, cache = _layer_pass(plan[l], p, acts[-1], want_cache)
         acts.append(nodes)
@@ -358,26 +356,22 @@ def _forward(net: KanNetwork, xs: np.ndarray, want_cache: bool, fixed=None):
 
 def forward_batch(net: KanNetwork, xs) -> np.ndarray:
     """Evaluate on a batch (n, in_dim), or 1-D xs as one column: (n, out)."""
-    acts, _, _ = _forward(net, _as_batch(xs), want_cache=False)
+    acts, _, _ = _forward(net, _as_batch(net, xs), want_cache=False)
     return acts[-1].T
 
 
-def _node_rows(net: KanNetwork, xs: np.ndarray) -> np.ndarray:
-    """A batch xs (n, in_dim) as layer 0's node values (in_dim, n)."""
+def _as_batch(net: KanNetwork, xs) -> np.ndarray:
+    """xs as a float (n, in_dim) array for net; a 1-D xs is one column."""
+    xs = np.asarray(xs, dtype=float)
+    xs = xs.reshape(-1, 1) if xs.ndim == 1 else xs
     if xs.shape[1] != net.shape[0]:
         raise DimMismatchError(
             f"input dim {xs.shape[1]} != shape[0] = {net.shape[0]}")
-    return xs.T
-
-
-def _as_batch(xs) -> np.ndarray:
-    """xs as a float (n, in_dim) array; a 1-D xs is one input column."""
-    xs = np.asarray(xs, dtype=float)
-    return xs.reshape(-1, 1) if xs.ndim == 1 else xs
+    return xs
 
 
 def _check_batch(net, xs, ys):
-    xs = _as_batch(xs)
+    xs = _as_batch(net, xs)
     ys = np.asarray(ys, dtype=float)
     if xs.shape[0] != ys.shape[0] or ys.ndim != 1 or xs.shape[0] < 1:
         raise DimMismatchError("xs rows and ys length must match and be >= 1")
@@ -452,15 +446,11 @@ def loss_and_gradient(net: KanNetwork, xs, ys, lam: float, *, _fixed=None):
 @np.errstate(over="ignore", invalid="ignore")  # as in _forward
 def adapt_grids(net: KanNetwork, xs) -> KanNetwork:
     """Rescale each unlocked edge's grid to its observed inputs with a 10%
-    margin, refitting its coefficients to the old spline on a dense sample
-    of the new domain, so the spline keeps its shape there.
-
-    One layer at a time: a layer's inputs come from the layers before it on
-    their rescaled grids. A layer's old splines are evaluated in one stacked
-    basis call, with ``_layer_pass``'s product.
-    """
+    margin, refitting its coefficients to the old spline (one stacked basis
+    call a layer) on a dense sample of the new domain. Layers go in order,
+    so a layer sees inputs from the layers before it on their new grids."""
     net = net.clone()
-    x = _node_rows(net, _as_batch(xs))
+    x = _as_batch(net, xs).T
     for l, layer in enumerate(net.layers):
         edges = [(r, e) for r, e in enumerate(e for row in layer.edges
                                               for e in row) if e.lock is None]
@@ -528,7 +518,7 @@ def train(net: KanNetwork, xs, ys, lam: float,
 
 def edge_importances(net: KanNetwork, xs) -> np.ndarray:
     """Mean |activation output| per edge over the batch, flattening order."""
-    _, edge_outs, _ = _forward(net, _as_batch(xs), want_cache=False)
+    _, edge_outs, _ = _forward(net, _as_batch(net, xs), want_cache=False)
     return _magnitudes(edge_outs)
 
 
@@ -568,7 +558,7 @@ def snap_edge(net: KanNetwork, layer: int, out_idx: int, in_idx: int, xs,
     if net.layers[layer].edges[out_idx][in_idx].lock is not None:
         raise InvalidArgumentError(
             f"edge ({layer},{out_idx},{in_idx}) is already locked")
-    acts, edge_outs, _ = _forward(net, _as_batch(xs), want_cache=False)
+    acts, edge_outs, _ = _forward(net, _as_batch(net, xs), want_cache=False)
     result = rank_candidates(acts[layer][in_idx], edge_outs[layer][
         out_idx * net.layers[layer].in_dim + in_idx], search)
     name, a, b, c, d, _ = result.best

@@ -272,23 +272,21 @@ class CoarseGrid:
 
 def _solve_cd(z, ys):
     """Closed-form (c, d) of min ||c z + d - ys||^2 along z's last axis, and
-    the SSE, from centred sums, which stay exact when z is near-constant:
-    c = S(z - zbar, ys - ybar) / S(z - zbar, z - zbar), d = ybar - c zbar and
-    SSE = syy - c S(z - zbar, ys - ybar). A z constant up to rounding fits
-    c = 0, d = ybar; a non-finite z or an overflowed sum gives a NaN SSE."""
-    ybar = ys.mean()
-    yc = ys - ybar
-    zbar = z.mean(axis=-1, keepdims=True)
+    the SSE, from centred sums, which stay exact where z is near-constant:
+    c = S(zc, yc) / S(zc, zc), d = ybar - c zbar, SSE = S(yc, yc) - c S(zc,
+    yc). A z constant up to rounding fits c = 0, d = ybar; a non-finite z
+    or an overflowed sum gives a NaN SSE."""
+    m, ybar = z.shape[-1], ys.mean()
+    yc, zbar = ys - ybar, z.mean(axis=-1, keepdims=True)
     zc = z - zbar
-    szy = zc @ yc
-    # zbar's rounding shifts every zc alike, by sz / m; taking that shift out
-    # of S(zc, zc) keeps it exact where z spreads by less than 1e-8 of zbar
-    sz = zc.sum(axis=-1)
-    szz = np.square(zc, out=zc).sum(axis=-1) - sz * sz / z.shape[-1]
-    zbar = zbar[..., 0]
+    szy, sz = zc @ yc, zc.sum(axis=-1)
+    # zbar's rounding shifts every zc by sz / m, which S(zc, zc) must not
+    # count where z spreads by less than 1e-8 of zbar
+    szz = np.square(zc, out=zc).sum(axis=-1) - sz * sz / m
     # guard per z against near-constant z; a global threshold would let one
     # overflowing (a, b) point mask every reasonable candidate
-    safe = szz > 1e-24 * (szz + z.shape[-1] * zbar ** 2) + 1e-300
+    zbar = zbar[..., 0]
+    safe = szz > 1e-24 * (szz + m * zbar ** 2) + 1e-300
     c = np.where(safe, szy / np.where(safe, szz, 1.0), 0.0)
     return c, ybar - c * zbar, np.maximum(float(yc @ yc) - c * szy, 0.0)
 
@@ -306,11 +304,11 @@ def _first_least(sse, syy):
 def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
     """The coarse pass of a snap fit: the grid (a, b) whose closed-form
     (c, d) (_solve_cd) fits the coarse samples best (_first_least), with
-    (c, d) then solved on all of xs. A point is feasible where ``domain`` holds over the
-    range of a*x + b on all of xs (``coarse.span``, at the two extreme x)
-    and its coarse SSE is finite, as the polish requires; a non-finite f(u)
-    makes it NaN. Returns ([a, b, c, d], the SSE of that fit on all of xs).
-    """
+    (c, d) then solved on all of xs. A point is feasible where ``domain``
+    holds over the range of a*x + b on all of xs (``coarse.span``, at the
+    two extreme x) and its coarse SSE is finite, as the polish requires; a
+    non-finite f(u) makes it NaN. Returns ([a, b, c, d], the SSE of that fit
+    on all of xs)."""
     xs, ys = _check_samples(xs, ys)
     feas = domain(*coarse.span)
     if not feas.any():

@@ -479,8 +479,10 @@ def _eval(node, xmat, path):
         cand = candidate_by_name(node.name)
         ok = np.asarray(cand.domain(u, u))
         if not np.all(ok):
+            row = int(np.argmin(ok))
             raise DomainViolationError(
-                f"{node.name} undefined at argument {u[~ok][:1]}", node_path=path)
+                f"{node.name} undefined at argument {float(u[row])!r}",
+                node_path=path, row=row)
         with np.errstate(all="ignore"):
             val = cand.fn(u)
         return node.c * val + node.d

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kanhydro import cli, hydro, kan, symbolic
+from kanhydro import cli, harness, hydro, kan, symbolic
 from kanhydro.errors import CsvParseError
 
 GOOD_CSV = """gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr
@@ -485,6 +486,43 @@ class TestFit:
                          "--target", "qb_over_p"]) == 0
         scored = json.loads(capsys.readouterr().out)
         assert scored["metrics"]["nse"] > 0.9
+
+    def test_formula_off_its_domain_names_the_test_row(self, tmp_path,
+                                                       capsys):
+        # 302 catchments whose baseflow ratio follows kan_fb plus noise (data
+        # seed 301): the [1, 3, 1] grid-20 fit locks an arcsin that one test
+        # catchment's aridity index takes past 1
+        n, seed = 302, 301
+        phi, fb = hydro.synth_generate(hydro.FIXED_MODELS["kan_fb"], n,
+                                       (0.2, 5.0), 0.02, seed)
+        rng = np.random.default_rng([seed, 1])
+        p = rng.uniform(300.0, 2500.0, n)
+        fb = np.maximum(fb, 1e-3)
+        fd = ((1.0 - fb) * np.exp(1.06 * (-phi ** 0.77 - 0.864))
+              * rng.uniform(0.5, 1.0, n))
+        rows = ["gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr"] + [
+            f"g{k:06d}," + ",".join(map(repr, row)) for k, row in enumerate(
+                zip(p.tolist(), (phi * p).tolist(), (fb * p).tolist(),
+                    (fd * p).tolist()))]
+        data = tmp_path / "catchments.csv"
+        data.write_text("\n".join(rows) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"shapes": [[1, 3, 1]],
+                                      "grid_intervals": [20], "seeds": [0]}))
+        assert cli.main(["fit", "--data", str(data), "--target", "qb_over_p",
+                         "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"runtime error: row (\d+) of the test split "
+                             r"\(aridity index (\S+)\): arcsin undefined at "
+                             r"argument (\S+)\n", err)
+        assert match, err
+        ds = hydro.load_catchments(data)
+        cfg = harness.GridSearchConfig()
+        _, te = harness.split_indices(n, cfg.split_ratio, cfg.split_seed)
+        row, phi_row, arg = match.groups()
+        assert float(phi_row) == ds.column("phi")[te][int(row)]
+        assert abs(float(arg)) > 1.0
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one(self, data_file, tmp_path, capsys, threads):

@@ -375,6 +375,13 @@ class TestEval:
             eval_expression(tree, [-1.0])
         assert err.value.node_path
 
+    def test_domain_violation_names_the_first_row(self):
+        tree = Unary("log", 2.0, 0.0, 1.0, 0.0, Var(0))
+        with pytest.raises(DomainViolationError) as err:
+            eval_expression(tree, np.array([[1.0], [3.0], [-0.5], [-2.0]]))
+        assert err.value.row == 2
+        assert str(err.value) == "log undefined at argument -1.0"
+
     def test_tan_off_its_principal_branch(self):
         tree = parse_expression("tan(x)")
         assert eval_expression(tree, [1.0]) == pytest.approx(np.tan(1.0))
