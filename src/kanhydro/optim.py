@@ -275,10 +275,12 @@ def _solve_cd(z, ys):
     the SSE, from centred sums, which stay exact where z is near-constant:
     c = S(zc, yc) / S(zc, zc), d = ybar - c zbar, SSE = S(yc, yc) - c S(zc,
     yc). A z constant up to rounding fits c = 0, d = ybar; a non-finite z
-    or an overflowed sum gives a NaN SSE."""
+    or an overflowed sum gives a NaN SSE. z is centred and squared in
+    place: a second array of the coarse grid's size costs more than the
+    arithmetic."""
     m, ybar = z.shape[-1], ys.mean()
     yc, zbar = ys - ybar, z.mean(axis=-1, keepdims=True)
-    zc = z - zbar
+    zc = np.subtract(z, zbar, out=z)
     szy, sz = zc @ yc, zc.sum(axis=-1)
     # zbar's rounding shifts every zc by sz / m, which S(zc, zc) must not
     # count where z spreads by less than 1e-8 of zbar
@@ -313,7 +315,9 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
     feas = domain(*coarse.span)
     if not feas.any():
         raise NoValidCandidateError("no feasible (a, b) grid point")
-    _, _, sse = _solve_cd(f(coarse.u), coarse.ys)
+    z = f(coarse.u)
+    _, _, sse = _solve_cd(z.copy() if np.shares_memory(z, coarse.u) else z,
+                          coarse.ys)
     # a non-finite f(u) or an overflowed sum leaves a NaN, which cannot rank
     feas &= np.isfinite(sse)
     if not feas.any():

@@ -420,7 +420,7 @@ class TestOneClosedForm:
         # the guard's decision is compared only away from its threshold
         if abs(ratio - 1.0) < 1e-6:
             return
-        c, d, sse = optim._solve_cd(z, ys)
+        c, d, sse = optim._solve_cd(z.copy(), ys)
         assert abs(sse - sse_ref) <= 1e-10 * syy
         assert c == pytest.approx(c_ref, rel=1e-6, abs=0.0)
         assert d == pytest.approx(ys.mean() - c_ref * z.mean(), rel=1e-6,
@@ -437,10 +437,10 @@ class TestOneClosedForm:
         # on a stack of z rows, each row is fitted as on its own
         rng = np.random.default_rng(1)
         z, ys = rng.standard_normal((3, 4, 9)), rng.standard_normal(9)
-        c, d, sse = optim._solve_cd(z, ys)
+        c, d, sse = optim._solve_cd(z.copy(), ys)
         assert c.shape == d.shape == sse.shape == (3, 4)
         for i, j in itertools.product(range(3), range(4)):
-            row = optim._solve_cd(z[i, j], ys)
+            row = optim._solve_cd(z[i, j].copy(), ys)
             assert np.allclose(row, (c[i, j], d[i, j], sse[i, j]),
                                rtol=1e-12, atol=0.0)
 
