@@ -206,11 +206,10 @@ def run_pipeline(x_pre, y_pre, x_val, y_val, hp: HyperPoint, *,
         presnap = kan.forward_batch(net, x_val)[:, 0]
 
     snap_results = []
-    for l, j, i, edge in list(net.iter_edges()):
-        if edge.lock is None:
-            net, snap = kan.snap_edge(net, l, j, i, x_pre,
-                                      PIPELINE_SNAP_SEARCH)
-            snap_results.append({"edge": [l, j, i], "best": list(snap.best)})
+    for l in range(len(net.layers)):
+        net, snaps = kan.snap_edge(net, l, x_pre, PIPELINE_SNAP_SEARCH)
+        snap_results += [{"edge": list(edge), "best": list(ranked[0])}
+                         for edge, ranked in snaps]
 
     net = kan.refine_affine(net, x_pre, y_pre)
     tree = kan.extract_formula(net)

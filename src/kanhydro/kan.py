@@ -13,7 +13,8 @@ A layer's edges run as one pass over stacked rows (``_layer_pass``, backward
 is row ``out_idx * in_dim + in_idx`` of its (E, N) outputs, so ``_plan`` maps
 the rows onto their blocks of the flat vector in order, and the node sums
 are one reshape-and-sum. ``_forward`` serves training, importances and
-snapping (``adapt_grids`` refits a layer before it passes it);
+snapping, one pass per snapped layer (``adapt_grids`` refits a layer before
+it passes it);
 ``_minimize_free`` runs BFGS for ``train`` and ``refine_affine``.
 """
 
@@ -548,24 +549,28 @@ def prune(net: KanNetwork, threshold: float, xs) -> KanNetwork:
     return net
 
 
-def snap_edge(net: KanNetwork, layer: int, out_idx: int, in_idx: int, xs,
+def snap_edge(net: KanNetwork, layer: int, xs,
               search: AffineSearchGrid | None = None):
-    """Lock one edge to its best-fitting symbolic candidate.
-
-    Returns (new network, SnapResult). The fit uses the edge's empirical
-    (input, output) pairs under forward passes of xs.
-    """
-    if net.layers[layer].edges[out_idx][in_idx].lock is not None:
-        raise InvalidArgumentError(
-            f"edge ({layer},{out_idx},{in_idx}) is already locked")
+    """Lock each unlocked edge of a layer to its best-fitting candidate on
+    the edge's (input, output) samples from one forward pass of xs; a lock
+    changes no other edge of its layer. Returns (new network, [((layer,
+    out, in), ranked rows), ...]); a layer with nothing unlocked comes back
+    as it is, with no rows."""
+    lay = net.layers[layer]
+    todo = [r for r, e in enumerate(e for row in lay.edges for e in row)
+            if e.lock is None]
+    if not todo:
+        return net, []
     acts, edge_outs, _ = _forward(net, _as_batch(net, xs), want_cache=False)
-    result = rank_candidates(acts[layer][in_idx], edge_outs[layer][
-        out_idx * net.layers[layer].in_dim + in_idx], search)
-    name, a, b, c, d, _ = result.best
-    net = net.clone()
-    net.layers[layer].edges[out_idx][in_idx].lock = SymbolicLock(
-        candidate_by_name(name), a, b, c, d)
-    return net, result
+    net, snaps = net.clone(), []
+    for r in todo:
+        j, i = divmod(r, lay.in_dim)
+        ranked = rank_candidates(acts[layer][i], edge_outs[layer][r], search)
+        name, a, b, c, d, _ = ranked[0]
+        net.layers[layer].edges[j][i].lock = SymbolicLock(
+            candidate_by_name(name), a, b, c, d)
+        snaps.append(((layer, j, i), ranked))
+    return net, snaps
 
 
 def refine_affine(net: KanNetwork, xs, ys) -> KanNetwork:

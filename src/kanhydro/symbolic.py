@@ -183,17 +183,6 @@ def candidate_by_name(name: str) -> CandidateFunction:
             f"unknown candidate function {name!r}") from None
 
 
-@dataclass
-class SnapResult:
-    """Candidates ranked by affine-fit R^2 (ties by ascending complexity)."""
-
-    ranked: list[tuple[str, float, float, float, float, float]]
-
-    @property
-    def best(self):
-        return self.ranked[0]
-
-
 # rank_candidates polishes only the candidates whose coarse fits are best;
 # the others keep their coarse fit and its R^2. Criterion 5's sweep picks the
 # same hyperpoint, formula and snap with this as with every one polished.
@@ -201,8 +190,9 @@ POLISH_TOP_K = 4
 
 
 def rank_candidates(xs, ys,
-                    search: AffineSearchGrid | None = None) -> SnapResult:
-    """Fit every feasible candidate and sort by descending R^2.
+                    search: AffineSearchGrid | None = None) -> list:
+    """Fit every feasible candidate; return the (name, a, b, c, d, R^2) rows
+    best first, by descending R^2 and then ascending complexity.
 
     Every candidate gets the coarse (a, b) pass; the POLISH_TOP_K best of
     those starts get the BFGS polish as well.
@@ -210,7 +200,7 @@ def rank_candidates(xs, ys,
     xs, ys = _check_samples(xs, ys)
     if float(np.var(ys)) < ZERO_VARIANCE_TOL:
         # constant target: the zero candidate with offset d wins by convention
-        return SnapResult([(_ZERO.name, 1.0, 0.0, 0.0, float(ys.mean()), 1.0)])
+        return [(_ZERO.name, 1.0, 0.0, 0.0, float(ys.mean()), 1.0)]
 
     coarse = CoarseGrid.over(xs, ys, search)  # the same for every candidate
     # an even or odd f fits (-a, -b) as it fits (a, b): search a > 0 only
@@ -242,7 +232,7 @@ def rank_candidates(xs, ys,
         raise NoValidCandidateError("every candidate infeasible on these inputs")
     # R^2 values are quantized for sorting so fits that agree to optimizer
     # precision fall through to the complexity tie-break, then to the name
-    return SnapResult([row for *_, row in sorted(rows)])
+    return [row for *_, row in sorted(rows)]
 
 
 # --------------------------------------------------------------------------

@@ -419,14 +419,14 @@ class TestSnap:
 
     def test_tanh_fitted_edge(self):
         net, xs = self._edge_fitted_to(np.tanh)
-        _, result = snap_edge(net, 0, 0, 0, xs=xs.reshape(-1, 1))
-        assert result.best[0] == "tanh"
-        assert result.best[5] > 0.999
+        _, [(_, ranked)] = snap_edge(net, 0, xs.reshape(-1, 1))
+        assert ranked[0][0] == "tanh"
+        assert ranked[0][5] > 0.999
 
     def test_square_beats_linear(self):
         net, xs = self._edge_fitted_to(np.square)
-        _, result = snap_edge(net, 0, 0, 0, xs=xs.reshape(-1, 1))
-        ranks = {row[0]: i for i, row in enumerate(result.ranked)}
+        _, [(_, ranked)] = snap_edge(net, 0, xs.reshape(-1, 1))
+        ranks = {row[0]: i for i, row in enumerate(ranked)}
         assert ranks["x^2"] < ranks["x"]
 
     def test_constant_zero_edge(self):
@@ -435,22 +435,47 @@ class TestSnap:
         edge.w_b = 0.0
         edge.w_c = 0.0
         xs = np.linspace(-1, 1, 30).reshape(-1, 1)
-        _, result = snap_edge(net, 0, 0, 0, xs=xs)
-        assert result.best[0] == "0"
-        assert result.best[5] == 1.0
+        _, [(_, ranked)] = snap_edge(net, 0, xs)
+        assert ranked[0][0] == "0"
+        assert ranked[0][5] == 1.0
 
     def test_snapped_network_reproduces_fit(self):
         net, xs = self._edge_fitted_to(np.tanh)
-        snapped, result = snap_edge(net, 0, 0, 0, xs=xs.reshape(-1, 1))
-        name, a, b, c, d, _ = result.best
+        snapped, [(_, ranked)] = snap_edge(net, 0, xs.reshape(-1, 1))
+        name, a, b, c, d, _ = ranked[0]
         expect = c * np.tanh(a * xs + b) + d
         got = forward_batch(snapped, xs.reshape(-1, 1))[:, 0]
         assert got == pytest.approx(expect, abs=1e-12)
 
-    def test_already_locked_rejected(self):
+    def test_locked_layer_unchanged(self):
         net = identity_locked([1, 1])
-        with pytest.raises(InvalidArgumentError):
-            snap_edge(net, 0, 0, 0, xs=np.zeros((5, 1)))
+        assert snap_edge(net, 0, np.zeros((5, 1))) == (net, [])
+
+    @pytest.mark.parametrize("shape", [[1, 3, 1], [2, 2, 1]])
+    def test_layer_matches_edge_by_edge(self, shape):
+        # a reference that snaps one edge at a time, each on the samples of
+        # its own forward pass; the (l, 0, 0) edges start zero-locked
+        xs = np.random.default_rng(1).uniform(0.2, 2.0, (60, shape[0]))
+        net = adapt_grids(init_network(shape, 4, seed=3), xs)
+        for l in range(len(shape) - 1):
+            net.layers[l].edges[0][0].lock = zero_lock()
+        search = AffineSearchGrid(a_magnitudes=np.geomspace(0.1, 10.0, 7),
+                                  b_values=np.linspace(-3.0, 3.0, 7))
+        ref, want = net.clone(), []
+        for l, j, i, e in list(ref.iter_edges()):
+            if e.lock is None:
+                acts, outs, _ = kan._forward(ref, xs, want_cache=False)
+                ranked = symbolic.rank_candidates(
+                    acts[l][i], outs[l][j * shape[l] + i], search)
+                lock_edge(ref, l, j, i, *ranked[0][:5])
+                want.append(((l, j, i), ranked))
+        got = []
+        for l in range(len(shape) - 1):
+            net, snaps = snap_edge(net, l, xs, search)
+            got += snaps
+        assert got == want
+        assert [e.lock for *_, e in net.iter_edges()] == [
+            e.lock for *_, e in ref.iter_edges()]
 
 
 class TestRefine:

@@ -177,37 +177,37 @@ class TestRankCandidates:
         result = rank_candidates(xs, ys)
         # at noise sigma = 0.01 the R^2 ceiling is the noise floor (~0.994),
         # so the assertion pins the achievable level, not a perfect fit
-        assert result.best[0] == "tanh"
-        assert result.best[5] > 0.99
+        assert result[0][0] == "tanh"
+        assert result[0][5] > 0.99
 
     def test_exact_linear_data(self):
         xs = np.linspace(-1.0, 4.0, 100)
         ys = 2.5 * xs - 1.0
         result = rank_candidates(xs, ys)
-        assert result.best[0] == "x"
-        assert result.best[5] >= 1.0 - 1e-12
+        assert result[0][0] == "x"
+        assert result[0][5] >= 1.0 - 1e-12
 
     def test_decaying_exponential(self):
         xs = np.linspace(0.1, 3.0, 150)
         ys = np.exp(-xs)
         result = rank_candidates(xs, ys)
-        assert result.best[0] == "exp"
-        ranks = {row[0]: i for i, row in enumerate(result.ranked)}
+        assert result[0][0] == "exp"
+        ranks = {row[0]: i for i, row in enumerate(result)}
         assert ranks["exp"] < ranks["tanh"]
 
     def test_zero_variance_selects_zero(self):
         xs = np.linspace(0, 1, 50)
         result = rank_candidates(xs, np.full(50, 0.7))
-        assert result.best[0] == "0"
-        assert result.best[4] == pytest.approx(0.7)
-        assert result.best[5] == 1.0
+        assert result[0][0] == "0"
+        assert result[0][4] == pytest.approx(0.7)
+        assert result[0][5] == 1.0
 
     def test_sorted_descending(self):
         rng = np.random.default_rng(4)
         xs = rng.uniform(0.5, 3.0, 120)
         ys = np.sqrt(xs) + rng.normal(0, 0.02, 120)
         result = rank_candidates(xs, ys)
-        r2s = [round(row[5], 10) for row in result.ranked]
+        r2s = [round(row[5], 10) for row in result]
         assert r2s == sorted(r2s, reverse=True)
 
     def test_winner_beats_all(self):
@@ -215,9 +215,9 @@ class TestRankCandidates:
         xs = rng.uniform(-1.5, 2.0, 100)
         ys = np.tanh(xs) + rng.normal(0, 0.05, 100)
         result = rank_candidates(xs, ys)
-        best_r2 = result.best[5]
+        best_r2 = result[0][5]
         assert all(best_r2 >= round(row[5], 10) - 1e-10
-                   for row in result.ranked)
+                   for row in result)
 
     def test_polish_top_k(self):
         # the POLISH_TOP_K best coarse fits come out exactly as
@@ -238,11 +238,11 @@ class TestRankCandidates:
                 cand.fn, xs, ys, search, domain=cand.domain,
                 deriv=cand.deriv, start=start))
         top = rank_candidates(xs, ys, search)
-        assert top.best == full["tanh"]
-        assert {row[0] for row in top.ranked} == set(full)
-        same = [row for row in top.ranked if row == full[row[0]]]
+        assert top[0] == full["tanh"]
+        assert {row[0] for row in top} == set(full)
+        same = [row for row in top if row == full[row[0]]]
         assert len(same) >= POLISH_TOP_K
-        assert all(row[5] <= full[row[0]][5] + 1e-12 for row in top.ranked)
+        assert all(row[5] <= full[row[0]][5] + 1e-12 for row in top)
 
     def test_affine_closure(self):
         # exact affine-wrapped samples of each candidate are recovered with
@@ -277,7 +277,7 @@ class TestRankCandidates:
             xs = np.linspace(lo, hi, 120)
             ys = 1.7 * cand.fn(a * xs + b) - 0.6
             result = rank_candidates(xs, ys)
-            winner, r2 = result.best[0], result.best[5]
+            winner, r2 = result[0][0], result[0][5]
             assert winner == name, f"{name}: got {winner} (r2={r2})"
             assert r2 >= 1.0 - 1e-9, f"{name}: r2={r2}"
 
