@@ -13,6 +13,8 @@ stack of one.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +70,18 @@ class SplineCoeffs:
 def make_grid(domain_min: float, domain_max: float, num_intervals: int,
               order: int = 3) -> KnotGrid:
     """Build a uniform grid with `order` extension knots on each side."""
+    if not (math.isfinite(domain_min) and math.isfinite(domain_max)):
+        raise InvalidDomainError(
+            f"domain bounds must be finite, got [{domain_min}, {domain_max}]")
     if not domain_min < domain_max:
         raise InvalidDomainError(
             f"domain_min ({domain_min}) must be < domain_max ({domain_max})")
-    if num_intervals < 1:
-        raise InvalidArgumentError("num_intervals must be >= 1")
-    if order < 0:
-        raise InvalidArgumentError("order must be >= 0")
+    for name, value, least in (("num_intervals", num_intervals, 1),
+                               ("order", order, 0)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < least):
+            raise InvalidArgumentError(
+                f"{name} must be an integer >= {least}, got {value!r}")
     h = (domain_max - domain_min) / num_intervals
     idx = np.arange(-order, num_intervals + order + 1)
     knots = domain_min + h * idx

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,10 +173,19 @@ class KanNetwork:
                 rec = lookup[(l, j, i)]
                 grid = bspline.make_grid(*(rec["grid"][f]
                                            for f in _GRID_FIELDS))
+                coeffs = [_finite(v, "coeffs") for v in rec["coeffs"]]
+                if len(coeffs) != grid.num_basis:
+                    raise InvalidArgumentError(
+                        f"'coeffs' holds {len(coeffs)} values; its grid has "
+                        f"{grid.num_basis} bases")
                 if "lock" in rec:
                     lk = rec["lock"]
+                    if not isinstance(lk["frozen"], bool):
+                        raise InvalidArgumentError(
+                            f"'frozen' must be true or false, got "
+                            f"{lk['frozen']!r}")
                     lock = SymbolicLock(candidate_by_name(lk["candidate"]),
-                                        lk["a"], lk["b"], lk["c"], lk["d"],
+                                        *(_finite(lk[f], f) for f in "abcd"),
                                         frozen=lk["frozen"])
                 else:
                     lock, key = None, (grid.num_intervals, grid.order)
@@ -184,23 +195,43 @@ class KanNetwork:
                             f"differs from {stacked[l]}, its layer's other "
                             "unlocked edges'")
                 net.layers[l].edges[j][i] = EdgeActivation(
-                    rec["w_b"], rec["w_c"], grid,
-                    SplineCoeffs(np.array(rec["coeffs"])), lock)
+                    _finite(rec["w_b"], "w_b"), _finite(rec["w_c"], "w_c"),
+                    grid, SplineCoeffs(np.array(coeffs)), lock)
         except json.JSONDecodeError as exc:
             raise DataValidationError(f"checkpoint is not JSON: {exc}") from exc
         except KeyError as exc:  # a field, or an edge as (layer, out, in)
             raise DataValidationError(
                 f"checkpoint lacks {exc.args[0]!r}") from exc
-        except (TypeError, InvalidArgumentError) as exc:  # a bad value
+        except (TypeError, OverflowError, InvalidArgumentError) as exc:
+            # a bad value; OverflowError: an int too large for a float
             raise DataValidationError(f"{where}: {exc}") from exc
         return net
 
 
+def _finite(value, field: str):
+    """A checkpoint number: a finite int or float, not a bool."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return value
+    except (TypeError, OverflowError):  # not a number; an int past float
+        pass
+    raise InvalidArgumentError(
+        f"{field!r} must be a finite number, got {value!r}")
+
+
+def _whole(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def init_network(shape, grid_intervals: int, seed: int = 0) -> KanNetwork:
     """Fresh network with small-random spline coefficients, w_b = w_c = 1."""
-    shape = [int(s) for s in shape]
-    if len(shape) < 2 or any(s < 1 for s in shape):
+    shape = list(shape)
+    if len(shape) < 2 or not all(_whole(s) and s >= 1 for s in shape):
         raise InvalidShapeError(f"unusable shape {shape}")
+    if not (_whole(seed) and seed >= 0):
+        raise InvalidArgumentError(
+            f"seed must be an integer >= 0, got {seed!r}")
+    shape = [int(s) for s in shape]
     if grid_intervals < 1:
         raise InvalidArgumentError("grid_intervals must be >= 1")
     rng = np.random.default_rng(seed)

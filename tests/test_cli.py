@@ -141,6 +141,9 @@ class TestGoldenOutput:
             b"0.0028,0.8,0.0001333333333,2000,0.3333333333\n")
 
 
+_EDGE = "checkpoint edge (0, 0, 0): "
+
+
 class TestCorruptCheckpoint:
     """A checkpoint that is not a KanNetwork document is a validation
     error (exit 1) naming what is wrong with it."""
@@ -201,6 +204,48 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert ("checkpoint edge (1, 0, 1): unknown candidate function "
                 "'sigmoid'") in err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("edges", 0, "lock", "a"), "x",
+         f"{_EDGE}'a' must be a finite number, got 'x'"),
+        (("edges", 0, "lock", "d"), float("nan"),
+         f"{_EDGE}'d' must be a finite number, got nan"),
+        (("edges", 0, "lock", "c"), True,
+         f"{_EDGE}'c' must be a finite number, got True"),
+        (("edges", 0, "lock", "frozen"), "no",
+         f"{_EDGE}'frozen' must be true or false, got 'no'"),
+        (("edges", 0, "w_b"), "x", f"{_EDGE}'w_b' must be a finite number"),
+        (("edges", 0, "w_c"), float("inf"),
+         f"{_EDGE}'w_c' must be a finite number, got inf"),
+        (("edges", 0, "coeffs"), [0.1, 0.2],
+         f"{_EDGE}'coeffs' holds 2 values; its grid has 6 bases"),
+        (("edges", 0, "coeffs", 0), "x",
+         f"{_EDGE}'coeffs' must be a finite number, got 'x'"),
+        (("edges", 0, "grid", "num_intervals"), 2.5,
+         f"{_EDGE}num_intervals must be an integer >= 1, got 2.5"),
+        (("edges", 0, "grid", "order"), 1.5,
+         f"{_EDGE}order must be an integer >= 0, got 1.5"),
+        (("edges", 0, "grid", "domain_max"), float("inf"),
+         f"{_EDGE}domain bounds must be finite, got [-3.0, inf]"),
+        (("seed",), -1, "checkpoint: seed must be an integer >= 0, got -1"),
+        (("seed",), 1.5, "checkpoint: seed must be an integer >= 0, got 1.5"),
+        (("shape", 0), 1.5, "checkpoint: unusable shape [1.5, 1]"),
+    ])
+    def test_bad_number_names_the_field(self, data_file, tmp_path, capsys,
+                                        path, value, message):
+        net = kan.init_network([1, 1], grid_intervals=3, seed=0)
+        net.layers[0].edges[0][0].lock = kan.SymbolicLock(
+            symbolic.candidate_by_name("tanh"), 1.0, 0.0, 1.0, 0.0)
+        doc = json.loads(net.to_json())
+        *parents, key = path
+        node = doc
+        for p in parents:
+            node = node[p]
+        node[key] = value
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(doc))
+        assert self._evaluate(data_file, ckpt) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_non_utf8(self, data_file, tmp_path, capsys):
         ckpt = tmp_path / "latin1.json"
