@@ -57,8 +57,6 @@ class GridSearchConfig:
     train_max_iters: int = 100
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise InvalidArgumentError("folds must be >= 2")
         if not 0.0 < self.split_ratio < 1.0:
             raise InvalidArgumentError("split_ratio must be in (0, 1)")
         if not (self.shapes and self.grid_intervals and self.seeds):
@@ -72,6 +70,7 @@ class GridSearchConfig:
                 ("shapes", [w for shape in self.shapes for w in shape], 1),
                 ("grid_intervals", self.grid_intervals, 1),
                 ("seeds", self.seeds, 0),
+                ("folds", [self.folds], 2),
                 ("split_seed", [self.split_seed], 0),
                 ("train_max_iters", [self.train_max_iters], 1)):
             for value in values:
@@ -236,9 +235,10 @@ def grid_search(config: GridSearchConfig, x_train, y_train, *,
                 threads: int = 1):
     """Exhaustive sweep; returns (best HyperPoint, score table).
 
-    A (point, fold) job that fails with a package error, a floating-point
-    error or a singular linear system scores -inf instead of aborting the
-    sweep; any other exception propagates.
+    A (point, fold) job that fails with a package error (a singular
+    least-squares system among them, as RankDeficientError) or a
+    floating-point error scores -inf instead of aborting the sweep; any
+    other exception propagates.
     Ties break in Cartesian order (shapes, then grid intervals, then seeds).
     """
     if threads < 1:
@@ -272,7 +272,7 @@ def grid_search(config: GridSearchConfig, x_train, y_train, *,
             if score is None or not np.isfinite(score):
                 return -np.inf, None
             return float(score), res.presnap_r2
-        except (KanHydroError, FloatingPointError, np.linalg.LinAlgError):
+        except (KanHydroError, FloatingPointError):
             return -np.inf, None
 
     if threads > 1:

@@ -323,6 +323,13 @@ class TestConfig:
         back = GridSearchConfig.from_json(json.dumps(cfg.to_dict()))
         assert back == cfg
 
+    @pytest.mark.parametrize("folds", [2.5, True, 1])
+    def test_folds_an_integer_from_2(self, folds):
+        # a fractional count once passed here and failed in kfold_split
+        with pytest.raises(InvalidArgumentError, match=(
+                rf"'folds' must hold integers >= 2, got {folds}")):
+            GridSearchConfig(folds=folds)
+
     def test_invariants(self):
         with pytest.raises(InvalidArgumentError):
             GridSearchConfig(folds=1)
