@@ -214,6 +214,8 @@ class TestCorruptCheckpoint:
          f"{_EDGE}'c' must be a finite number, got True"),
         (("edges", 0, "lock", "frozen"), "no",
          f"{_EDGE}'frozen' must be true or false, got 'no'"),
+        (("edges", 0, "lock", "b"), 10 ** 400,
+         f"{_EDGE}'b' must be a finite number, got 1000"),
         (("edges", 0, "w_b"), "x", f"{_EDGE}'w_b' must be a finite number"),
         (("edges", 0, "w_c"), float("inf"),
          f"{_EDGE}'w_c' must be a finite number, got inf"),
@@ -227,6 +229,8 @@ class TestCorruptCheckpoint:
          f"{_EDGE}order must be an integer >= 0, got 1.5"),
         (("edges", 0, "grid", "domain_max"), float("inf"),
          f"{_EDGE}domain bounds must be finite, got [-3.0, inf]"),
+        (("edges", 0, "grid", "domain_min"), -10 ** 400,
+         f"{_EDGE}int too large to convert to float"),
         (("seed",), -1, "checkpoint: seed must be an integer >= 0, got -1"),
         (("seed",), 1.5, "checkpoint: seed must be an integer >= 0, got 1.5"),
         (("shape", 0), 1.5, "checkpoint: unusable shape [1.5, 1]"),
