@@ -14,7 +14,6 @@ stack of one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
     InvalidDomainError,
     LengthMismatchError,
     RankDeficientError,
+    is_count,
 )
 
 RIDGE_DAMPING = 1e-8
@@ -78,8 +78,7 @@ def make_grid(domain_min: float, domain_max: float, num_intervals: int,
             f"domain_min ({domain_min}) must be < domain_max ({domain_max})")
     for name, value, least in (("num_intervals", num_intervals, 1),
                                ("order", order, 0)):
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < least):
+        if not is_count(value, least):
             raise InvalidArgumentError(
                 f"{name} must be an integer >= {least}, got {value!r}")
     h = (domain_max - domain_min) / num_intervals

@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer test
+that its argument checks share."""
+
+import numbers
+
+
+def is_count(value, least: int) -> bool:
+    """Whether value is an integer >= least (numpy's too), not a bool."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= least)
 
 
 class KanHydroError(Exception):

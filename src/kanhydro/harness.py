@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -25,6 +24,7 @@ from .errors import (
     InvalidArgumentError,
     KanHydroError,
     TooSmallDatasetError,
+    is_count,
 )
 from .optim import AffineSearchGrid, OptimOptions
 
@@ -74,9 +74,7 @@ class GridSearchConfig:
                 ("split_seed", [self.split_seed], 0),
                 ("train_max_iters", [self.train_max_iters], 1)):
             for value in values:
-                if (isinstance(value, bool)
-                        or not isinstance(value, numbers.Integral)
-                        or value < least):
+                if not is_count(value, least):
                     raise InvalidArgumentError(
                         f"config key {key!r} must hold integers >= {least}, "
                         f"got {value!r}")

@@ -23,7 +23,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidShapeError,
     UnlockedEdgesError,
+    is_count,
 )
 from .optim import OptimOptions, bfgs_minimize
 from .symbolic import (
@@ -219,21 +219,15 @@ def _finite(value, field: str):
         f"{field!r} must be a finite number, got {value!r}")
 
 
-def _whole(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def init_network(shape, grid_intervals: int, seed: int = 0) -> KanNetwork:
     """Fresh network with small-random spline coefficients, w_b = w_c = 1."""
     shape = list(shape)
-    if len(shape) < 2 or not all(_whole(s) and s >= 1 for s in shape):
+    if len(shape) < 2 or not all(is_count(s, 1) for s in shape):
         raise InvalidShapeError(f"unusable shape {shape}")
-    if not (_whole(seed) and seed >= 0):
+    if not is_count(seed, 0):
         raise InvalidArgumentError(
             f"seed must be an integer >= 0, got {seed!r}")
     shape = [int(s) for s in shape]
-    if grid_intervals < 1:
-        raise InvalidArgumentError("grid_intervals must be >= 1")
     rng = np.random.default_rng(seed)
     grid = bspline.make_grid(*DEFAULT_GRID_DOMAIN, grid_intervals,
                              DEFAULT_ORDER)

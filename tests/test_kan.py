@@ -77,6 +77,12 @@ class TestInit:
         with pytest.raises(InvalidShapeError):
             init_network([1, 0, 1], 3, seed=0)
 
+    @pytest.mark.parametrize("grid_intervals, seed",
+                             [(0, 0), (2.5, 0), (3, -1), (3, True)])
+    def test_invalid_grid_or_seed(self, grid_intervals, seed):
+        with pytest.raises(InvalidArgumentError):
+            init_network([1, 1], grid_intervals, seed=seed)
+
 
 class TestActivationEval:
     def test_silu_at_zero(self):
