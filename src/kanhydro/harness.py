@@ -9,6 +9,7 @@ runs, produce identical reports (the wall-clock field aside).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -224,19 +225,29 @@ def run_pipeline(x_pre, y_pre, x_val, y_val, hp: HyperPoint, *,
                           snap_results)
 
 
-def _point_label(hp: HyperPoint) -> dict:
-    return {"shape": list(hp.shape), "grid_intervals": hp.grid_intervals,
-            "seed": hp.seed}
+def _fold_score(config, x, y, hp: HyperPoint, fold) -> float:
+    """One (point, fold) job's validation R^2. A package error (a singular
+    least-squares system among them, as RankDeficientError), a
+    floating-point error or a non-finite score gives -inf instead."""
+    tr, va = fold
+    try:
+        score = run_pipeline(x[tr], y[tr], x[va], y[va], hp,
+                             lambda_=config.lambda_,
+                             prune_threshold=config.prune_threshold,
+                             train_max_iters=config.train_max_iters
+                             ).validation_r2
+    except (KanHydroError, FloatingPointError):
+        return -np.inf
+    return float(score) if score is not None and np.isfinite(score) else -np.inf
 
 
 def grid_search(config: GridSearchConfig, x_train, y_train, *,
                 threads: int = 1):
     """Exhaustive sweep; returns (best HyperPoint, score table).
 
-    A (point, fold) job that fails with a package error (a singular
-    least-squares system among them, as RankDeficientError) or a
-    floating-point error scores -inf instead of aborting the sweep; any
-    other exception propagates.
+    The sweep maps _fold_score over the (point, fold) jobs, point-major,
+    on `threads` threads; any exception but a failed job's propagates.
+    Each table row is a point's fields, its fold R^2 and their mean.
     Ties break in Cartesian order (shapes, then grid intervals, then seeds).
     """
     if threads < 1:
@@ -253,42 +264,17 @@ def grid_search(config: GridSearchConfig, x_train, y_train, *,
                                 config.seeds)]
     folds = kfold_split(y_train.size, config.folds, config.split_seed)
 
-    jobs = []
-    for p_idx, hp in enumerate(points):
-        for f_idx, (tr, va) in enumerate(folds):
-            jobs.append((p_idx, f_idx, hp, tr, va))
-
-    def run_job(job):
-        _, _, hp, tr, va = job
-        try:
-            res = run_pipeline(x_train[tr], y_train[tr],
-                               x_train[va], y_train[va], hp,
-                               lambda_=config.lambda_,
-                               prune_threshold=config.prune_threshold,
-                               train_max_iters=config.train_max_iters)
-            score = res.validation_r2
-            if score is None or not np.isfinite(score):
-                return -np.inf, None
-            return float(score), res.presnap_r2
-        except (KanHydroError, FloatingPointError):
-            return -np.inf, None
-
+    score = functools.partial(_fold_score, config, x_train, y_train)
+    hps, job_folds = zip(*itertools.product(points, folds))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_job, jobs))
+            scores = list(pool.map(score, hps, job_folds))
     else:
-        outcomes = [run_job(j) for j in jobs]
-
-    table = []
-    scores = np.full((len(points), config.folds), -np.inf)
-    for (p_idx, f_idx, _, _, _), (score, _) in zip(jobs, outcomes):
-        scores[p_idx, f_idx] = score
-    for p_idx, hp in enumerate(points):
-        fold_scores = scores[p_idx].tolist()
-        mean = float(np.mean(scores[p_idx]))
-        table.append({**_point_label(hp), "fold_r2": fold_scores,
-                      "mean_r2": mean})
-    means = np.array([row["mean_r2"] for row in table])
+        scores = list(map(score, hps, job_folds))
+    scores = np.reshape(scores, (len(points), config.folds))
+    means = scores.mean(axis=1)
+    table = [{**asdict(hp), "fold_r2": row.tolist(), "mean_r2": float(mean)}
+             for hp, row, mean in zip(points, scores, means)]
     if not np.any(np.isfinite(means)):
         raise KanHydroError("every hyperparameter point failed")
     best_idx = int(np.argmax(means))  # argmax takes the first maximum
@@ -323,10 +309,9 @@ def finalize(best_hp: HyperPoint, x_train, y_train, x_test, y_test,
     test_m = metrics.all_metrics(y_test, pred_test)
 
     table = score_table or []
-    best_row = next((row for row in table
-                     if row["shape"] == list(best_hp.shape)
-                     and row["grid_intervals"] == best_hp.grid_intervals
-                     and row["seed"] == best_hp.seed), None)
+    label = asdict(best_hp)
+    best_row = next((row for row in table if label.items() <= row.items()),
+                    None)
     per_fold = best_row["fold_r2"] if best_row else []
     mean_r2 = best_row["mean_r2"] if best_row else float("nan")
 
@@ -338,7 +323,7 @@ def finalize(best_hp: HyperPoint, x_train, y_train, x_test, y_test,
 
     return FitReport(
         target=target,
-        hyperparameters=_point_label(best_hp),
+        hyperparameters=label,
         per_fold_r2=per_fold,
         mean_r2=mean_r2,
         formula=res.formula_str,
