@@ -27,7 +27,7 @@ from .errors import (
     TooSmallDatasetError,
     is_count,
 )
-from .optim import AffineSearchGrid, OptimOptions
+from .optim import MIN_SAMPLES, AffineSearchGrid, OptimOptions
 
 TARGETS = ("qb_over_p", "qd_over_p", "qb", "qd")
 
@@ -149,13 +149,18 @@ class FitReport:
 
 
 def split_indices(n: int, ratio: float, seed: int):
-    """Deterministic shuffled 2-way split; train gets ceil(ratio * n) rows."""
+    """Deterministic shuffled 2-way split; train gets ceil(ratio * n) rows,
+    and the test side must keep enough rows to be scored."""
     if not 0.0 < ratio < 1.0:
         raise InvalidArgumentError("ratio must be in (0, 1)")
     if n < 5:
         raise TooSmallDatasetError(f"need at least 5 records, got {n}")
-    perm = np.random.default_rng(seed).permutation(n)
     n_train = math.ceil(ratio * n)
+    if n - n_train < metrics.MIN_POINTS:
+        raise TooSmallDatasetError(
+            f"a {ratio} split of {n} records leaves {n - n_train} test "
+            f"record(s); need at least {metrics.MIN_POINTS}")
+    perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
@@ -249,6 +254,8 @@ def grid_search(config: GridSearchConfig, x_train, y_train, *,
     on `threads` threads; any exception but a failed job's propagates.
     Each table row is a point's fields, its fold R^2 and their mean.
     Ties break in Cartesian order (shapes, then grid intervals, then seeds).
+    A split whose folds are too small to train or score raises
+    TooSmallDatasetError before any job runs.
     """
     if threads < 1:
         raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
@@ -263,6 +270,14 @@ def grid_search(config: GridSearchConfig, x_train, y_train, *,
               itertools.product(config.shapes, config.grid_intervals,
                                 config.seeds)]
     folds = kfold_split(y_train.size, config.folds, config.split_seed)
+    least_val = min(va.size for _, va in folds)
+    least_train = min(tr.size for tr, _ in folds)
+    if least_val < metrics.MIN_POINTS or least_train < MIN_SAMPLES:
+        raise TooSmallDatasetError(
+            f"{y_train.size} training rows in {config.folds} folds leave "
+            f"{least_val} validation and {least_train} training rows in the "
+            f"smallest folds; each fold needs at least {metrics.MIN_POINTS} "
+            f"validation and {MIN_SAMPLES} training rows")
 
     score = functools.partial(_fold_score, config, x_train, y_train)
     hps, job_folds = zip(*itertools.product(points, folds))

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError, LengthMismatchError
 
+MIN_POINTS = 2  # the fewest paired points a statistic is computed on
+
 
 @dataclass(frozen=True)
 class PairedSeries:
@@ -25,8 +27,8 @@ class PairedSeries:
         if obs.shape != sim.shape or obs.ndim != 1:
             raise LengthMismatchError("observed and simulated must be equal-"
                                       "length 1-D vectors")
-        if obs.size < 2:
-            raise InvalidArgumentError("need at least 2 points")
+        if obs.size < MIN_POINTS:
+            raise InvalidArgumentError(f"need at least {MIN_POINTS} points")
         if not (np.all(np.isfinite(obs)) and np.all(np.isfinite(sim))):
             raise InvalidArgumentError("series values must be finite")
         object.__setattr__(self, "observed", obs)

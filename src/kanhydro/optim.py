@@ -29,6 +29,9 @@ STATUS_LINE_SEARCH_FAILURE = "line-search-failure"
 
 ZERO_VARIANCE_TOL = 1e-12
 
+# the fewest samples an affine-wrap fit, and so a snap, takes
+MIN_SAMPLES = 4
+
 # coarse SSEs within this share of syy (the centred targets' sum of squares)
 # of the least tie: mathematically tied points (every (a, b) for x, every b
 # for exp) spread by up to 1.6e-14 of syy over criterion 5's sweep
@@ -217,8 +220,8 @@ def _check_samples(xs, ys):
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:
         raise LengthMismatchError("xs and ys must have equal length")
-    if xs.size < 4:
-        raise InvalidArgumentError("need at least 4 samples")
+    if xs.size < MIN_SAMPLES:
+        raise InvalidArgumentError(f"need at least {MIN_SAMPLES} samples")
     return xs, ys
 
 

@@ -573,6 +573,48 @@ class TestFit:
         assert float(phi_row) == ds.column("phi")[te][int(row)]
         assert abs(float(arg)) > 1.0
 
+    @staticmethod
+    def kan_fb_catchments(path, n):
+        """n catchments whose baseflow ratio follows kan_fb plus noise."""
+        phi, fb = hydro.synth_generate(hydro.FIXED_MODELS["kan_fb"], n,
+                                       (0.2, 5.0), 0.02, 3)
+        rows = ["gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr"] + [
+            f"g{k:03d},1000.0,{1000.0 * x!r},{1000.0 * max(y, 1e-3)!r},10.0"
+            for k, (x, y) in enumerate(zip(phi.tolist(), fb.tolist()))]
+        path.write_text("\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("n, folds, message", [
+        # 16 training rows leave 4 of 10 validation folds 1 row, too few
+        # to score
+        (20, {}, "16 training rows in 10 folds leave 1 validation"),
+        # 8 training rows leave 1 test row
+        (9, {"folds": 2}, "split of 9 records leaves 1 test record"),
+    ])
+    def test_split_too_small_exits_1(self, tmp_path, capsys, n, folds,
+                                     message):
+        data = tmp_path / "c.csv"
+        self.kan_fb_catchments(data, n)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"shapes": [[1, 1]],
+                                      "grid_intervals": [3], "seeds": [0],
+                                      **folds}))
+        assert cli.main(["fit", "--data", str(data), "--target", "qb_over_p",
+                         "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeats_on_a_test_split_too_small_exit_1(self, tmp_path,
+                                                       capsys):
+        data = tmp_path / "c.csv"
+        self.kan_fb_catchments(data, 9)
+        assert cli.main(["evaluate", "--data", str(data), "--model",
+                         "kan_fb", "--repeats", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: a 0.8 split of 9 records leaves 1 test record" in err
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one(self, data_file, tmp_path, capsys, threads):
         assert cli.main(["fit", "--data", data_file, "--target", "qb_over_p",

@@ -65,6 +65,12 @@ class TestSplits:
         with pytest.raises(TooSmallDatasetError):
             split_indices(4, 0.8, 0)
 
+    def test_test_side_too_small_to_score(self):
+        # 8 training rows leave 1 test row, and a metric needs 2
+        with pytest.raises(TooSmallDatasetError,
+                           match="split of 9 records leaves 1 test record"):
+            split_indices(9, 0.8, 0)
+
     def test_dataset_split(self):
         _, ys = synth(50)
         tr, te = split_indices(len(ys), 0.8, 0)
@@ -188,6 +194,24 @@ class TestGridSearch:
         assert best.shape == [1, 1]
         bad = next(row for row in table if row["shape"] == [1, 2, 1])
         assert bad["mean_r2"] == -np.inf
+
+    @pytest.mark.parametrize("n, folds, smallest", [
+        (16, 10, "1 validation and 14 training rows"),
+        (7, 2, "3 validation and 3 training rows"),
+    ])
+    def test_folds_too_small_rejected_before_any_job(self, monkeypatch, n,
+                                                     folds, smallest):
+        # a validation fold under the 2 points a metric needs, or a
+        # training part under the 4 samples a snap fit takes
+        def broken(*args, **kwargs):
+            raise TypeError("a job ran")
+
+        monkeypatch.setattr(harness, "run_pipeline", broken)
+        phi, ys = synth(n)
+        with pytest.raises(TooSmallDatasetError,
+                           match=f"{n} training rows in {folds} folds leave "
+                                 f"{smallest}"):
+            grid_search(small_config(folds=folds), phi, ys)
 
     @pytest.mark.parametrize("shape", [[2, 1], [1, 2]])
     def test_shape_not_fitting_the_data_rejected_before_any_job(
