@@ -145,7 +145,21 @@ class FitReport:
     checkpoint: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        """The report as strict JSON (RFC 8259): a non-finite score, such as
+        a failed fold's -inf, is written as null; any other non-finite
+        number raises ValueError."""
+        doc = asdict(self)
+        doc["mean_r2"] = _json_score(doc["mean_r2"])
+        doc["per_fold_r2"] = [_json_score(v) for v in doc["per_fold_r2"]]
+        for row in doc["score_table"]:
+            row["mean_r2"] = _json_score(row["mean_r2"])
+            row["fold_r2"] = [_json_score(v) for v in row["fold_r2"]]
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _json_score(value):
+    """A score, or None where it is None or not finite."""
+    return value if value is not None and math.isfinite(value) else None
 
 
 def split_indices(n: int, ratio: float, seed: int):

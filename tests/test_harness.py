@@ -270,6 +270,28 @@ class TestFinalize:
         text = report.to_json()
         assert FitReport(**json.loads(text)).to_json() == text
 
+    def test_report_is_strict_json(self):
+        # a failed fold's -inf is written as null, not as -Infinity
+        phi, ys = synth(100)
+        cfg = small_config(folds=2)
+        table = [{"shape": [1, 1], "grid_intervals": 3, "seed": 0,
+                  "fold_r2": [0.5, -np.inf], "mean_r2": -np.inf}]
+        report = finalize(HyperPoint([1, 1], 3, 0), phi, ys, phi, ys,
+                          "qb_over_p", cfg, score_table=table)
+        text = report.to_json()
+
+        def not_json(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads(text, parse_constant=not_json)
+        assert doc["per_fold_r2"] == [0.5, None] and doc["mean_r2"] is None
+        assert doc["score_table"][0]["fold_r2"] == [0.5, None]
+        assert FitReport(**json.loads(text)).to_json() == text
+        assert table[0]["fold_r2"] == [0.5, -np.inf]  # the table keeps -inf
+        report.test_metrics["nse"] = np.nan
+        with pytest.raises(ValueError):
+            report.to_json()
+
     def test_noise_floor_quality(self):
         phi, ys = synth(302, 0.02, seed=7)
         tr, te = split_indices(302, 0.8, 0)
