@@ -195,6 +195,33 @@ class TestGridSearch:
         bad = next(row for row in table if row["shape"] == [1, 2, 1])
         assert bad["mean_r2"] == -np.inf
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_failed_job_lands_in_its_cell(self, monkeypatch, threads):
+        # every job scores grid_intervals + fold / 10, except that point
+        # (grid 5, seed 1) fails on fold 1 only
+        phi, ys = synth(40)
+        cfg = small_config(grid_intervals=[3, 5], seeds=[0, 1])
+        folds = kfold_split(ys.size, cfg.folds, cfg.split_seed)
+
+        def scored(x_pre, y_pre, x_val, y_val, hp, **kwargs):
+            fold = next(f for f, (_, va) in enumerate(folds)
+                        if np.array_equal(y_val, ys[va]))
+            if (hp.grid_intervals, hp.seed, fold) == (5, 1, 1):
+                raise DomainViolationError("a job failure")
+            return harness.PipelineResult(None, None, "",
+                                          hp.grid_intervals + fold / 10,
+                                          None, [])
+
+        monkeypatch.setattr(harness, "run_pipeline", scored)
+        _, table = grid_search(cfg, phi, ys, threads=threads)
+        assert [(row["grid_intervals"], row["seed"]) for row in table] == [
+            (3, 0), (3, 1), (5, 0), (5, 1)]
+        for row in table:
+            want = [row["grid_intervals"] + f / 10 for f in range(cfg.folds)]
+            if (row["grid_intervals"], row["seed"]) == (5, 1):
+                want[1] = -np.inf
+            assert row["fold_r2"] == want
+
     @pytest.mark.parametrize("n, folds, smallest", [
         (16, 10, "1 validation and 14 training rows"),
         (7, 2, "3 validation and 3 training rows"),
