@@ -257,7 +257,7 @@ def _fold_score(config, x, y, hp: HyperPoint, fold) -> float:
                              ).validation_r2
     except (KanHydroError, FloatingPointError):
         return -np.inf
-    return float(score) if score is not None and np.isfinite(score) else -np.inf
+    return score if np.isfinite(score) else -np.inf
 
 
 def grid_search(config: GridSearchConfig, x_train, y_train, *,
