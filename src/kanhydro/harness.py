@@ -27,18 +27,9 @@ from .errors import (
     TooSmallDatasetError,
     is_count,
 )
-from .optim import MIN_SAMPLES, AffineSearchGrid, OptimOptions
+from .optim import MIN_SAMPLES, OptimOptions
 
 TARGETS = ("qb_over_p", "qd_over_p", "qb", "qd")
-
-# coarser-than-default snap search used inside the sweep; the BFGS polish in
-# fit_affine_wrap still runs on the full edge data
-PIPELINE_SNAP_SEARCH = AffineSearchGrid(
-    a_magnitudes=np.geomspace(0.1, 10.0, 21),
-    b_values=np.linspace(-10.0, 10.0, 21),
-    max_samples=80,
-    polish=OptimOptions(max_iters=20, grad_tol=1e-8),
-)
 
 
 # the JSON values a GridSearchConfig field accepts, by its annotation
@@ -224,7 +215,7 @@ def run_pipeline(x_pre, y_pre, x_val, y_val, hp: HyperPoint, *,
 
     snap_results = []
     for l in range(len(net.layers)):
-        net, snaps = kan.snap_edge(net, l, x_pre, PIPELINE_SNAP_SEARCH)
+        net, snaps = kan.snap_edge(net, l, x_pre)
         snap_results += [{"edge": list(edge), "best": list(ranked[0])}
                          for edge, ranked in snaps]
 

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .optim import OptimOptions, bfgs_minimize
 from .symbolic import (
-    AffineSearchGrid,
     CandidateFunction,
     Sum,
     Unary,
@@ -574,13 +573,12 @@ def prune(net: KanNetwork, threshold: float, xs) -> KanNetwork:
     return net
 
 
-def snap_edge(net: KanNetwork, layer: int, xs,
-              search: AffineSearchGrid | None = None):
-    """Lock each unlocked edge of a layer to its best-fitting candidate on
-    the edge's (input, output) samples from one forward pass of xs; a lock
-    changes no other edge of its layer. Returns (new network, [((layer,
-    out, in), ranked rows), ...]); a layer with nothing unlocked comes back
-    as it is, with no rows."""
+def snap_edge(net: KanNetwork, layer: int, xs):
+    """Lock each unlocked edge of a layer to its best candidate under the
+    default search, on the edge's (input, output) samples from one forward
+    pass of xs; a lock changes no other edge of its layer. Returns (new
+    network, [((layer, out, in), ranked rows), ...]); a layer with nothing
+    unlocked comes back as it is, with no rows."""
     lay = net.layers[layer]
     todo = [r for r, e in enumerate(e for row in lay.edges for e in row)
             if e.lock is None]
@@ -590,7 +588,7 @@ def snap_edge(net: KanNetwork, layer: int, xs,
     net, snaps = net.clone(), []
     for r in todo:
         j, i = divmod(r, lay.in_dim)
-        ranked = rank_candidates(acts[layer][i], edge_outs[layer][r], search)
+        ranked = rank_candidates(acts[layer][i], edge_outs[layer][r])
         name, a, b, c, d, _ = ranked[0]
         net.layers[layer].edges[j][i].lock = SymbolicLock(
             candidate_by_name(name), a, b, c, d)

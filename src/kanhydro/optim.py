@@ -205,14 +205,18 @@ def bfgs_minimize(fun, x0, opts: OptimOptions | None = None) -> OptimResult:
 
 @dataclass(frozen=True)
 class AffineSearchGrid:
-    """Coarse (a, b) search specification of a snap fit, and its polish."""
+    """A snap fit's search, the one every fit runs by default: the coarse
+    (a, b) grid, the samples it takes (None: all) and the polish options."""
 
     a_magnitudes: np.ndarray = field(
-        default_factory=lambda: np.geomspace(0.1, 10.0, 41))
+        default_factory=lambda: np.geomspace(0.1, 10.0, 21))
     b_values: np.ndarray = field(
-        default_factory=lambda: np.linspace(-10.0, 10.0, 41))
-    max_samples: int | None = None  # subsample the coarse pass, not the polish
-    polish: "OptimOptions | None" = None  # overrides the default polish options
+        default_factory=lambda: np.linspace(-10.0, 10.0, 21))
+    max_samples: int | None = 80  # subsample the coarse pass, not the polish
+    polish: OptimOptions = OptimOptions(max_iters=20, grad_tol=1e-8)
+
+
+_SEARCH = AffineSearchGrid()
 
 
 def _check_samples(xs, ys):
@@ -243,7 +247,7 @@ class CoarseGrid:
     @staticmethod
     def over(xs, ys, ab_grid: AffineSearchGrid | None = None) -> "CoarseGrid":
         xs, ys = _check_samples(xs, ys)
-        grid = ab_grid or AffineSearchGrid()
+        grid = ab_grid or _SEARCH
         a_vals = np.asarray(grid.a_magnitudes, dtype=float)
         a_vals = np.concatenate([a_vals, -a_vals])
         b_vals = np.asarray(grid.b_values, dtype=float)
@@ -261,13 +265,12 @@ class CoarseGrid:
         """The a > 0 rows of this grid, as views; the grid itself when its
         b values are not symmetric about 0.
 
-        With b_vals == -b_vals[::-1], the point (-a, -b) lays u' = -u
-        exactly, so an even or odd f fits it with the same SSE as (a, b),
-        and the a > 0 rows alone hold a best point.
+        With b_vals == -b_vals[::-1], the point (-a, -b) of ``over``'s
+        [mags, -mags] lays u' = -u exactly, so an even or odd f fits it with
+        the same SSE as (a, b), and the a > 0 rows alone hold a best point.
         """
         half = self.a_vals.size // 2
-        if not (np.array_equal(self.b_vals, -self.b_vals[::-1])
-                and np.array_equal(self.a_vals[half:], -self.a_vals[:half])):
+        if not np.array_equal(self.b_vals, -self.b_vals[::-1]):
             return self
         return CoarseGrid(self.a_vals[:half], self.b_vals, self.u[:half],
                           self.ys, self.syy, self.span[:, :half])
@@ -342,12 +345,13 @@ def fit_r2(sse: float, ys) -> float:
 
 def fit_affine_wrap(f, xs, ys, ab_grid: AffineSearchGrid | None = None, *,
                     deriv, domain, start):
-    """Polish y = c*f(a*x + b) + d by BFGS on all four parameters, from
-    ``start``, the [a, b, c, d] of an affine_start call on the same samples;
-    deriv is f's derivative. Returns (a, b, c, d, r2 of the polished fit).
+    """Polish y = c*f(a*x + b) + d by BFGS on all four parameters and every
+    sample, with ab_grid's polish options, from ``start``, the [a, b, c, d]
+    of an affine_start call on the same samples; deriv is f's derivative.
+    Returns (a, b, c, d, r2 of the polished fit).
     """
     xs, ys = _check_samples(xs, ys)
-    grid = ab_grid or AffineSearchGrid()
+    grid = ab_grid or _SEARCH
     p0 = np.asarray(start, dtype=float)
 
     n = xs.size
@@ -377,8 +381,7 @@ def fit_affine_wrap(f, xs, ys, ab_grid: AffineSearchGrid | None = None, *,
     # fun turns that into inf, so floating-point errors are expected
     with np.errstate(all="ignore"):
         try:
-            res = bfgs_minimize(fun, p0, grid.polish
-                                or OptimOptions(max_iters=100, grad_tol=1e-10))
+            res = bfgs_minimize(fun, p0, grid.polish)
             (a, b, cc, dd), best_sse = res.x_star, res.f_star * n
         except NonFiniteObjectiveError:  # keep the coarse start
             (a, b, cc, dd), best_sse = p0, np.inf

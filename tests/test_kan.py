@@ -465,19 +465,17 @@ class TestSnap:
         net = adapt_grids(init_network(shape, 4, seed=3), xs)
         for l in range(len(shape) - 1):
             net.layers[l].edges[0][0].lock = zero_lock()
-        search = AffineSearchGrid(a_magnitudes=np.geomspace(0.1, 10.0, 7),
-                                  b_values=np.linspace(-3.0, 3.0, 7))
         ref, want = net.clone(), []
         for l, j, i, e in list(ref.iter_edges()):
             if e.lock is None:
                 acts, outs, _ = kan._forward(ref, xs, want_cache=False)
                 ranked = symbolic.rank_candidates(
-                    acts[l][i], outs[l][j * shape[l] + i], search)
+                    acts[l][i], outs[l][j * shape[l] + i])
                 lock_edge(ref, l, j, i, *ranked[0][:5])
                 want.append(((l, j, i), ranked))
         got = []
         for l in range(len(shape) - 1):
-            net, snaps = snap_edge(net, l, xs, search)
+            net, snaps = snap_edge(net, l, xs)
             got += snaps
         assert got == want
         assert [e.lock for *_, e in net.iter_edges()] == [

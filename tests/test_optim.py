@@ -174,10 +174,7 @@ class TestFitAffineWrap:
         # and leaves NaN SSEs there; the start must be the best finite one
         xs = np.linspace(0.0, 70.0, 80)
         ys = 1000.0 * np.exp(-xs / 70.0)
-        grid = optim.AffineSearchGrid(a_magnitudes=np.geomspace(0.1, 10.0, 21),
-                                      b_values=np.linspace(-10.0, 10.0, 21),
-                                      max_samples=80)
-        coarse = optim.CoarseGrid.over(xs, ys, grid)
+        coarse = optim.CoarseGrid.over(xs, ys)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             p0, sse0 = optim.affine_start(np.exp, xs, ys, coarse,
@@ -207,15 +204,17 @@ class TestCoarseTies:
 
     def test_flat_candidates_start_at_the_first_grid_point(self):
         # every (a, b) fits x equally, and every b fits exp at one a; the
-        # start must not depend on the order in which the samples are summed
+        # start must not depend on the order in which the samples are summed,
+        # so the coarse pass runs without sub-sampling, on the same samples
         rng = np.random.default_rng(3)
         xs = rng.uniform(0.2, 5.0, 120)
         ys = np.tanh(xs - 1.0) + 0.01 * rng.standard_normal(120)
         perm = rng.permutation(120)
+        every = optim.AffineSearchGrid(max_samples=None)
         for name in ("x", "exp"):
             cand = candidate_by_name(name)
             starts = [optim.affine_start(
-                cand.fn, x, y, optim.CoarseGrid.over(x, y),
+                cand.fn, x, y, optim.CoarseGrid.over(x, y, every),
                 domain=cand.domain)[0][:2] for x, y in
                 ((xs, ys), (xs[perm], ys[perm]))]
             assert np.array_equal(*starts), name
@@ -454,7 +453,8 @@ class TestOneClosedForm:
                 np.exp(-((xs - 0.4) ** 2)))
         for law, cand in itertools.product(laws, candidate_library()):
             ys = law + 1e-3 * np.sin(7.0 * xs)
-            coarse = optim.CoarseGrid.over(xs, ys)
+            coarse = optim.CoarseGrid.over(
+                xs, ys, optim.AffineSearchGrid(max_samples=None))
             assert coarse.u.shape[2] == xs.size
             grid = coarse.mirror_half() if cand.parity else coarse
             try:
