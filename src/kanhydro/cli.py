@@ -109,7 +109,9 @@ def _cmd_evaluate(args) -> int:
         raise InvalidArgumentError("--target is required for checkpoints")
     phi = ds.column("phi")
     obs = ds.column(target)
-    pred = np.asarray(fn(phi), dtype=float)
+    with harness.naming_rows(lambda r: f"gauge {ds.gauge_ids[r]!r} "
+                                       f"(aridity index {float(phi[r])!r})"):
+        pred = np.asarray(fn(phi), dtype=float)
     result = {"model": args.model, "target": target, "n": len(ds),
               "metrics": metrics.all_metrics(obs, pred)}
     if args.repeats:

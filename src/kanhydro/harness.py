@@ -9,6 +9,7 @@ runs, produce identical reports (the wall-clock field aside).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -30,6 +31,9 @@ from .errors import (
 from .optim import MIN_SAMPLES, OptimOptions
 
 TARGETS = ("qb_over_p", "qd_over_p", "qb", "qd")
+
+# the most points a plot-data phi grid may hold (the default grid has 481)
+MAX_PLOT_POINTS = 10**6
 
 
 # the JSON values a GridSearchConfig field accepts, by its annotation
@@ -189,6 +193,19 @@ def kfold_split(n: int, k: int, seed: int):
     return pairs
 
 
+@contextlib.contextmanager
+def naming_rows(describe):
+    """Re-raise a DomainViolationError raised at a batch row with
+    ``describe(row)`` before its message."""
+    try:
+        yield
+    except DomainViolationError as exc:
+        if exc.row is None:
+            raise
+        raise DomainViolationError(f"{describe(exc.row)}: {exc}",
+                                   exc.node_path, exc.row) from exc
+
+
 def run_pipeline(x_pre, y_pre, x_val, y_val, hp: HyperPoint, *,
                  lambda_: float = 1e-3, prune_threshold: float = 1e-2,
                  train_max_iters: int = 100) -> PipelineResult:
@@ -316,15 +333,9 @@ def finalize(best_hp: HyperPoint, x_train, y_train, x_test, y_test,
                        prune_threshold=config.prune_threshold,
                        train_max_iters=config.train_max_iters)
     pred_train = symbolic.eval_expression(res.formula, x_train)
-    try:
+    with naming_rows(lambda r: f"row {r} of the test split (aridity index "
+                               f"{float(x_test[r, 0])!r})"):
         pred_test = symbolic.eval_expression(res.formula, x_test)
-    except DomainViolationError as exc:
-        if exc.row is None:
-            raise
-        raise DomainViolationError(
-            f"row {exc.row} of the test split (aridity index "
-            f"{float(x_test[exc.row, 0])!r}): {exc}", exc.node_path,
-            exc.row) from exc
     train_m = metrics.all_metrics(y_train, pred_train)
     test_m = metrics.all_metrics(y_test, pred_test)
 
@@ -381,7 +392,9 @@ def emit_plot_data(models, ds, phi_spec, out_path) -> str:
     """Write model curves over a phi grid plus an observation scatter file.
 
     `models` is a list of (name, callable) pairs; phi_spec is
-    (lo, hi, step). Returns the scatter companion path.
+    (lo, hi, step), and the grid holds at most MAX_PLOT_POINTS points. A
+    model that leaves its domain raises naming the phi grid value. Returns
+    the scatter companion path.
     """
     lo, hi, step = phi_spec
     if not all(math.isfinite(v) for v in phi_spec):
@@ -394,8 +407,16 @@ def emit_plot_data(models, ds, phi_spec, out_path) -> str:
         raise InvalidArgumentError(
             f"phi grid ({hi} - {lo}) / {step} has no finite point count")
     n = int(round(count)) + 1
+    if n > MAX_PLOT_POINTS:
+        raise InvalidArgumentError(
+            f"phi grid ({hi} - {lo}) / {step} asks for {n:.7g} points; "
+            f"at most {MAX_PLOT_POINTS}")
     phis = np.linspace(lo, hi, n)
-    curves = [np.asarray(fn(phis), dtype=float) for _, fn in models]
+    curves = []
+    for name, fn in models:
+        with naming_rows(
+                lambda r: f"{name} at phi grid value {float(phis[r])!r}"):
+            curves.append(np.asarray(fn(phis), dtype=float))
     write_csv(out_path, ["phi"] + [name for name, _ in models],
               ",".join(["%.10g"] * (1 + len(curves))), [phis, *curves])
     scatter_path = str(out_path) + ".scatter.csv"

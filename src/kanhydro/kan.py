@@ -244,9 +244,12 @@ def init_network(shape, grid_intervals: int, seed: int = 0) -> KanNetwork:
 @dataclass
 class _Layer:
     """A layer's edges as stacked rows, edge (j, i) being row j * in_dim + i
-    of its (E, N) outputs: the spline and the lock rows as ``_rows``, the
-    (lock row, candidate) pairs but the zero candidate's (0, with slope 0)
-    and, if computed, the spline rows' ``_spline_rows`` at a fixed batch."""
+    of its (E, N) outputs. ``spl`` and ``lck`` are the spline and the lock
+    rows as ``_rows`` gives them, and ``knots`` the spline rows' grids
+    stacked. ``live`` lists each lock row whose candidate is not the zero
+    one, as (its index among the lock rows, the candidate); a zero lock row
+    outputs its d. ``inputs`` is layer 0's ``_spline_rows`` at the xs given
+    to ``_plan``, else None."""
 
     in_dim: int
     out_dim: int

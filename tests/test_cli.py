@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -35,6 +36,17 @@ def data_file(tmp_path):
     path = tmp_path / "catchments.csv"
     path.write_text(GOOD_CSV)
     return str(path)
+
+
+@pytest.fixture
+def arcsin_checkpoint(tmp_path):
+    """A [1, 1] network locked to arcsin(x), defined for x <= 1 only."""
+    net = kan.init_network([1, 1], grid_intervals=3, seed=0)
+    net.layers[0].edges[0][0].lock = kan.SymbolicLock(
+        symbolic.candidate_by_name("arcsin"), 1.0, 0.0, 1.0, 0.0)
+    path = tmp_path / "ck.json"
+    path.write_text(net.to_json())
+    return f"checkpoint:{path}"
 
 
 class TestEvaluate:
@@ -81,6 +93,21 @@ class TestEvaluate:
                          str(data), "--out", str(tmp_path / "p.csv")]) == 0
         assert ("warning: line 3: gauge 'g2' has qb + qd > p"
                 in capsys.readouterr().err)
+
+    def test_checkpoint_off_its_domain_names_the_gauge(self, tmp_path,
+                                                       arcsin_checkpoint,
+                                                       capsys):
+        # aridity indices 0.2 .. 1.5; g4's 1.5 is the first past arcsin's 1
+        data = tmp_path / "c.csv"
+        data.write_text("gauge_id,p_mm_yr,pet_mm_yr,qb_mm_yr,qd_mm_yr\n"
+                        + "".join(f"g{k},1000,{1000 * phi},100,50\n"
+                                  for k, phi in enumerate(
+                                      [0.2, 0.5, 0.8, 1.5, 0.9, 1.2], 1)))
+        assert cli.main(["evaluate", "--data", str(data), "--model",
+                         arcsin_checkpoint, "--target", "qb_over_p"]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: gauge 'g4' (aridity index 1.5): arcsin undefined "
+            "at argument 1.5\n")
 
     def test_negative_repeats_rejected(self, data_file, capsys):
         assert cli.main(["evaluate", "--data", data_file, "--model",
@@ -470,6 +497,38 @@ class TestPlotData:
                         + extra) == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("step, points", [
+        ("1e-300", "4.8e+300"),
+        # 4.8 / step rounds to the cap, one interval more than it allows
+        (repr(4.8 / harness.MAX_PLOT_POINTS),
+         str(harness.MAX_PLOT_POINTS + 1))])
+    def test_grid_over_the_cap(self, tmp_path, capsys, step, points):
+        out = tmp_path / "pd.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main(["plotdata", "--models", "kan_fb", "--step", step,
+                             "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert (f"asks for {points} points; at most "
+                f"{harness.MAX_PLOT_POINTS}") in capsys.readouterr().err
+        assert not out.exists()
+        # the grid alone would be 8 MB at the cap
+        assert peak < 1_000_000
+
+    def test_checkpoint_off_its_domain_names_the_phi_value(
+            self, tmp_path, arcsin_checkpoint, capsys):
+        out = tmp_path / "pd.csv"
+        assert cli.main(["plotdata", "--models", arcsin_checkpoint,
+                         "--out", str(out)]) == 2
+        # the default grid runs from 0.2 in steps of 0.01
+        phi = repr(float(np.linspace(0.2, 5.0, 481)[81]))
+        assert capsys.readouterr().err == (
+            f"runtime error: {arcsin_checkpoint} at phi grid value {phi}: "
+            f"arcsin undefined at argument {phi}\n")
 
     def test_curves_and_scatter(self, data_file, tmp_path, capsys):
         out = tmp_path / "curves.csv"

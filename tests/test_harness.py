@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kanhydro import harness, hydro, kan, metrics
+from kanhydro import harness, hydro, kan, metrics, symbolic
 from kanhydro.errors import (
     DomainViolationError,
     InvalidArgumentError,
@@ -146,6 +146,16 @@ class TestRunPipeline:
         presnap = kan.forward_batch(net, xs[va])[:, 0]
         assert res.presnap_r2 == metrics.r_squared((ys[va], presnap))
         assert res.presnap_r2 != res.validation_r2
+        # the sweep snaps with the default search, then refines and extracts
+        snap_results = []
+        for l in range(len(net.layers)):
+            net, snaps = kan.snap_edge(net, l, xs[tr])
+            snap_results += [{"edge": list(edge), "best": list(ranked[0])}
+                             for edge, ranked in snaps]
+        net = kan.refine_affine(net, xs[tr], ys[tr])
+        tree = kan.extract_formula(net)
+        assert res.snap_results == snap_results
+        assert res.formula_str == symbolic.print_expression(tree, precision=6)
 
     def test_locked_edges_overflowing_to_opposite_infinities(self):
         # refine's line search probes points where two locked cosh edges
