@@ -500,7 +500,7 @@ class TestPlotData:
 
     @pytest.mark.parametrize("step, points", [
         ("1e-300", "4.8e+300"),
-        # 4.8 / step rounds to the cap, one interval more than it allows
+        # (5.0 - 0.2) / step is the cap in intervals: one point too many
         (repr(4.8 / harness.MAX_PLOT_POINTS),
          str(harness.MAX_PLOT_POINTS + 1))])
     def test_grid_over_the_cap(self, tmp_path, capsys, step, points):
