@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -483,126 +485,80 @@ def _eval(node, xmat, path):
 
 
 # --------------------------------------------------------------------------
-# Parsing (grammar: numbers, variables, + - * / ^, library function names)
+# Parsing: Python arithmetic with ^ as the power, through a node whitelist
 # --------------------------------------------------------------------------
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
-                                     or (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            try:
-                tokens.append(("num", float(text[i:j])))
-            except ValueError as exc:
-                raise ExpressionParseError(
-                    f"malformed number {text[i:j]!r} at {i}") from exc
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        else:
-            raise ExpressionParseError(f"unexpected character {ch!r} at {i}")
-    return tokens
+# a number run, as far as a word character or a signed exponent continues it,
+# and the runs that float() reads: 0x10, 1_000 and 1j are malformed numbers
+_NUMBER = r"[0-9.](?:[\w.]|(?<=[eE])[+-])*"
+_FLOAT = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# the grammar's lexemes; the last group is any other character, or Python's **
+_LEXEME = re.compile(rf"({_NUMBER})|(?a:\w+)|[-+/^()]|\*(?!\*)|\s+|(.)")
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _prepare(text: str) -> str:
+    """The text as Python reads it: ^ as **, whitespace runs as one space,
+    and no leading zeros on an integer (float() reads 01, Python does not)."""
+    for m in _LEXEME.finditer(text):
+        number, bad = m.groups()
+        if bad is not None:
+            raise ExpressionParseError(
+                f"unexpected character {bad!r} at {m.start()}")
+        if number is not None and not re.fullmatch(_FLOAT, number):
+            raise ExpressionParseError(
+                f"malformed number {number!r} at {m.start()}")
+    text = re.sub(r"\s+", " ", text).strip().replace("^", "**")
+    return re.sub(r"(?<![\w.])0+(?=[0-9])", "", text)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionParseError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, want):
-        tok = self.take()
-        if tok != want:
-            raise ExpressionParseError(f"expected {want!r}, got {tok!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise ExpressionParseError(f"trailing tokens at {self.pos}")
-        return node
-
-    def expr(self):
-        terms = [self.term()]
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            t = self.term()
-            if op == "-":
-                t = _scale(t, -1.0)
-            terms.append(t)
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            node = _multiply(node, rhs) if op == "*" else _divide(node, rhs)
-        return node
-
-    def factor(self):
-        node = self.atom()
-        while self.peek() == "^":
-            self.take()
-            tok = self.take()
-            neg = tok == "-"
-            if neg:
-                tok = self.take()
-            if not (isinstance(tok, tuple) and tok[0] == "num"):
-                raise ExpressionParseError("exponent must be a number")
-            if tok[1] != 1:  # all digits, so that 2.5 matches no form
-                node = _apply_form(f"{{}}^{tok[1]:.17g}", node)
-            if neg:
-                node = _divide(Const(1.0), node)
-        return node
-
-    def atom(self):
-        tok = self.take()
-        if tok == "-":
-            return _scale(self.factor(), -1.0)
-        if tok == "+":
-            return self.factor()
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if isinstance(tok, tuple) and tok[0] == "num":
-            return Const(tok[1])
-        if isinstance(tok, tuple) and tok[0] == "name":
-            name = tok[1]
-            if self.peek() == "(":
-                self.take()
-                arg = self.expr()
-                self.expect(")")
-                return _apply_form(candidate_by_name(name).form, arg)
-            if name == "x":
-                return Var(0)
-            if name.startswith("x") and name[1:].isdigit():
-                return Var(int(name[1:]) - 1)
-            raise ExpressionParseError(f"unknown token {name!r}")
-        raise ExpressionParseError(f"unexpected token {tok!r}")
+def _tree(node, text: str):
+    """The expression tree of a Python node; a node outside the whitelist
+    raises ExpressionParseError."""
+    source = text[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return Const(float(source))  # as float() reads it, as printed
+    if isinstance(node, ast.Name) and re.fullmatch(r"x[0-9]*", node.id):
+        return Var(int(node.id[1:] or 1) - 1)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.col_offset == node.col_offset  # not (tanh)(x)
+            and len(node.args) == 1 and not node.keywords):
+        arg = _tree(node.args[0], text)
+        return _apply_form(candidate_by_name(node.func.id).form, arg)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+        operand = _tree(node.operand, text)
+        return _scale(operand, -1.0) if type(node.op) is ast.USub else operand
+    if isinstance(node, ast.BinOp) and type(node.op) is ast.Pow:
+        base, exponent = _tree(node.left, text), node.right
+        negated = (isinstance(exponent, ast.UnaryOp)
+                   and type(exponent.op) is ast.USub)
+        if not isinstance(exponent.operand if negated else exponent,
+                          ast.Constant):
+            raise ExpressionParseError("exponent must be a number; a power "
+                                       "of a power is written (x^2)^3")
+        power = abs(_tree(exponent, text).value)
+        if power != 1:  # all digits, so that 2.5 matches no form
+            base = _apply_form(f"{{}}^{power:.17g}", base)
+        return _divide(Const(1.0), base) if negated else base
+    if isinstance(node, ast.BinOp) and type(node.op) in (ast.Mult, ast.Div):
+        step = _multiply if type(node.op) is ast.Mult else _divide
+        return step(_tree(node.left, text), _tree(node.right, text))
+    if isinstance(node, ast.BinOp) and type(node.op) in (ast.Add, ast.Sub):
+        # an unbracketed a + b - c is one flat Sum, walked in a loop to keep a
+        # long one off the stack; a bracketed left operand starts at a later
+        # col_offset and stays one term
+        chain = [node]
+        while (isinstance(chain[-1].left, ast.BinOp)
+               and type(chain[-1].left.op) in (ast.Add, ast.Sub)
+               and chain[-1].left.col_offset == node.col_offset):
+            chain.append(chain[-1].left)
+        terms = [_tree(chain[-1].left, text)]
+        for op in reversed(chain):
+            term = _tree(op.right, text)
+            terms.append(_scale(term, -1.0) if type(op.op) is ast.Sub
+                         else term)
+        return Sum(tuple(terms))
+    raise ExpressionParseError(
+        f"{source.replace('**', '^')!r} is outside the formula grammar")
 
 
 def _scale(node, k: float):
@@ -656,4 +612,11 @@ def _apply_form(form: str, arg) -> Unary:
 
 def parse_expression(text: str):
     """Parse the grammar emitted by print_expression into a tree."""
-    return _Parser(_tokenize(text)).parse()
+    text = _prepare(text)
+    try:
+        return _tree(ast.parse(text, mode="eval").body, text)
+    except SyntaxError as exc:  # the position indexes the prepared text
+        raise ExpressionParseError(f"{exc.msg} at {exc.offset - 1}") from exc
+    except RecursionError:  # a chain too long for Python's tree builder
+        raise ExpressionParseError(
+            "formula too long or nested too deeply") from None
