@@ -358,21 +358,15 @@ def _fmt(value: float, precision: int) -> str:
     return "0" if s == "-0" else s
 
 
-def _needs_paren(text: str) -> bool:
-    """True when the rendering needs parentheses to serve as a '*' factor."""
+def _paren(text: str, power: bool = False) -> str:
+    """The rendering, bracketed where it needs it as a '*' factor or, with
+    `power`, as a power's base: x^2 cubed prints as (x^2)^3, not x^2^3."""
     depth = 0
     for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in "+-*/ ":
-            return True
-    return False
-
-
-def _paren(text: str) -> str:
-    return f"({text})" if _needs_paren(text) else text
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and ch in ("+-*/ ^" if power else "+-*/ "):
+            return f"({text})"
+    return text
 
 
 def _times(k: float, factor: str, precision: int) -> str:
@@ -413,7 +407,7 @@ def _render(node, precision: int) -> str:
         inner = _render_affine(node.a, node.b, child, precision)
         # a form that does not bracket its argument gets brackets as needed
         body = cand.form.format(inner if "({})" in cand.form
-                                else _paren(inner))
+                                else _paren(inner, "^" in cand.form))
         return _times(node.c, body, precision)
     if isinstance(node, Sum):
         parts = [_render(t, precision) for t in node.terms]
