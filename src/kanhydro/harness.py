@@ -254,8 +254,8 @@ def run_pipeline(x_pre, y_pre, x_val, y_val, hp: HyperPoint, *,
 
 def _fold_score(config, x, y, hp: HyperPoint, fold) -> float:
     """One (point, fold) job's validation R^2. A package error (a singular
-    least-squares system among them, as RankDeficientError), a
-    floating-point error or a non-finite score gives -inf instead."""
+    least-squares system among them, as RankDeficientError) or a
+    non-finite score gives -inf instead."""
     tr, va = fold
     try:
         score = run_pipeline(x[tr], y[tr], x[va], y[va], hp,
@@ -263,7 +263,7 @@ def _fold_score(config, x, y, hp: HyperPoint, fold) -> float:
                              prune_threshold=config.prune_threshold,
                              train_max_iters=config.train_max_iters
                              ).validation_r2
-    except (KanHydroError, FloatingPointError):
+    except KanHydroError:
         return -np.inf
     return score if np.isfinite(score) else -np.inf
 
