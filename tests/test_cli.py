@@ -382,6 +382,13 @@ class TestSynthAndMetrics:
         assert cli.main(["synth", "--formula", "frobnicate(x",
                          "--n", "5", "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("head", ["(", "tanh("])
+    def test_formula_nested_too_deeply(self, tmp_path, capsys, head):
+        formula = head * 300 + "x" + ")" * 300
+        assert cli.main(["synth", "--formula", formula,
+                         "--n", "5", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_malformed_number_in_formula(self, tmp_path, capsys):
         assert cli.main(["synth", "--formula", "1.2.3*x",
                          "--n", "5", "--out", str(tmp_path / "x.csv")]) == 1

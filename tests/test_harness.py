@@ -262,13 +262,16 @@ class TestGridSearch:
                            match=re.escape(f"'shapes': {shape!r}")):
             grid_search(small_config(shapes=[[1, 1], shape]), phi, ys)
 
-    def test_programming_error_escapes(self, monkeypatch):
+    # nothing in the package makes numpy raise FloatingPointError, so one
+    # that does reach a job is a fault, not a failed fit
+    @pytest.mark.parametrize("error", [TypeError, FloatingPointError])
+    def test_programming_error_escapes(self, monkeypatch, error):
         def broken(*args, **kwargs):
-            raise TypeError("not a job failure")
+            raise error("not a job failure")
 
         monkeypatch.setattr(harness, "run_pipeline", broken)
         phi, ys = synth(100)
-        with pytest.raises(TypeError, match="not a job failure"):
+        with pytest.raises(error, match="not a job failure"):
             grid_search(small_config(), phi, ys)
 
     @pytest.mark.parametrize("threads", [0, -2])

@@ -1,5 +1,7 @@
 """Tests for the candidate library, ranking, and expression trees."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +13,7 @@ from kanhydro.errors import (
     InvalidArgumentError,
     NoValidCandidateError,
 )
+from kanhydro.kan import SymbolicLock, extract_formula, init_network
 from kanhydro.optim import (
     AffineSearchGrid,
     CoarseGrid,
@@ -41,6 +44,19 @@ FINE_SEARCH = AffineSearchGrid(
     max_samples=None,
     polish=OptimOptions(max_iters=100, grad_tol=1e-10),
 )
+
+
+
+def locked_formula(shape, seed):
+    """The formula of a network whose every edge locks to a random
+    candidate with random (a, b, c, d) in [-2, 2]."""
+    rng = np.random.default_rng(seed)
+    lib = candidate_library()
+    net = init_network(shape, 3, seed=seed)
+    for *_, edge in net.iter_edges():
+        a, b, c, d = rng.uniform(-2.0, 2.0, 4)
+        edge.lock = SymbolicLock(lib[rng.integers(len(lib))], a, b, c, d)
+    return extract_formula(net)
 
 
 class TestLibrary:
@@ -329,6 +345,31 @@ class TestPrinting:
             back = parse_expression(text)
             assert eval_expression(back, xs) == pytest.approx(
                 eval_expression(tree, xs), abs=1e-8)
+        # multi-layer formulas: a power of a power, the [1,2,1] pick quoted
+        # in the ROADMAP and those of seeded random locked networks, checked
+        # point by point wherever the tree is defined. Nested exps and coshes
+        # reach 1e21 and amplify a 12th-digit rounding to 5e-7 of the value
+        # at some points (2.5e-9 at most at these), so the bound is relative
+        trees = [Unary("x^3", 1.0, 0.0, 1.5, 0.0,
+                       Unary("x^2", 1.0, 0.0, 1.0, 0.0, Var(0))),
+                 parse_expression(
+                     "0.050288 + 0.627473*gaussian(2.860661*(-1.125824 + "
+                     "0.190702*abs(1.658555*x - 5.86461)) - 0.247736)")]
+        trees += [locked_formula(shape, seed) for shape in ([1, 2, 1],
+                                                            [1, 3, 1])
+                  for seed in range(10)]
+        checked, xs = 0, rng.uniform(-3.0, 3.0, (100, 1))
+        for tree in trees:
+            back = parse_expression(print_expression(tree, 12))
+            for x in xs:
+                try:
+                    want = eval_expression(tree, x)
+                except DomainViolationError:
+                    continue
+                assert eval_expression(back, x) == pytest.approx(
+                    want, rel=1e-6, abs=1e-8)
+                checked += 1
+        assert checked > 1000  # 1,521 of the 2,200 points
 
     # constants on a 0.01 grid print exactly at precision 6, and so do the
     # identity's folded products c*a and c*b + d; a tiny a prints as 0
@@ -360,6 +401,20 @@ class TestPrinting:
         assert print_expression(parse_expression("0.582625")) == "0.582625"
         tree = Sum((Const(0.5), Unary("x", 1e-9, 0.3, 2.0, 0.0, Var(0))))
         assert print_expression(tree) == "1.1"
+
+    def test_power_of_a_power_is_bracketed(self):
+        # x^2^3 reads as x^(2^3) = x^8 in Python and in maths
+        tree = Unary("x^3", 1.0, 0.0, 1.0, 0.0,
+                     Unary("x^2", 1.0, 0.0, 1.0, 0.0, Var(0)))
+        assert print_expression(tree) == "(x^2)^3"
+        assert parse_expression("(x^2)^3") == tree
+        assert print_expression(Unary("1/x^2", 1.0, 0.0, 1.0, 0.0,
+                                      tree.child)) == "1/(x^2)^2"
+        # a power's coefficient and a reciprocal need no brackets
+        assert print_expression(Unary("x^2", 1.0, 0.0, 2.0, 0.0,
+                                      Var(0))) == "2*x^2"
+        assert print_expression(Unary("1/x^2", 1.0, 0.0, 1.0, 0.0,
+                                      Var(0))) == "1/x^2"
 
     def test_reciprocal_prints_as_division(self):
         tree = Unary("1/sqrt", 2.0, 1.0, 0.7, 0.0, Var(0))
@@ -433,6 +488,40 @@ class TestParsing:
     def test_malformed_number(self, text):
         with pytest.raises(ExpressionParseError, match="malformed number"):
             parse_expression(text)
+
+    def test_chained_power_rejected(self):
+        # x^2^3 meant (x^2)^3 to the old reader and x^(2^3) to Python
+        with pytest.raises(ExpressionParseError, match=re.escape("(x^2)^3")):
+            parse_expression("x^2^3")
+
+    @pytest.mark.parametrize("text", [
+        "(" * 300 + "x" + ")" * 300,
+        "tanh(" * 300 + "x" + ")" * 300,
+        " + ".join(["x"] * 5000),
+    ], ids=["brackets", "calls", "sum"])
+    def test_too_deep_or_too_long(self, text):
+        with pytest.raises(ExpressionParseError):
+            parse_expression(text)
+
+    @pytest.mark.parametrize("text", ["0x10", "1_000", "1j", "True", "x**2",
+                                      "(tanh)(x)", "x.real", "x//2",
+                                      "x if x else x", "tanh(x=1)"])
+    def test_python_beyond_the_grammar(self, text):
+        with pytest.raises(ExpressionParseError):
+            parse_expression(text)
+
+    def test_flat_and_bracketed_sums(self):
+        # an unbracketed chain is one Sum; a bracketed one stays one term
+        x = Var(0)
+        assert parse_expression("x + 1 - x") == Sum(
+            (x, Const(1.0), Unary("x", 1.0, 0.0, -1.0, 0.0, x)))
+        assert parse_expression("(x + 1) - x") == Sum(
+            (Sum((x, Const(1.0))), Unary("x", 1.0, 0.0, -1.0, 0.0, x)))
+        assert parse_expression("x + (1 - x)") == Sum(
+            (x, Sum((Const(1.0), Unary("x", 1.0, 0.0, -1.0, 0.0, x)))))
+
+    def test_whitespace_and_leading_zeros(self):
+        assert parse_expression("\t2*x\n+ 01 ") == parse_expression("2*x + 1")
 
     def test_registered_candidates_parse(self):
         tree = parse_expression("gaussian(x) + cosh(2*x)")
