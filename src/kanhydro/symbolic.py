@@ -510,7 +510,7 @@ def _tree(node, text: str):
     raises ExpressionParseError."""
     source = text[node.col_offset:node.end_col_offset]
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return Const(float(source))  # as float() reads it, as printed
+        return Const(float(source))  # float(int) raises past 1e308; inf here
     if isinstance(node, ast.Name) and re.fullmatch(r"x[0-9]*", node.id):
         return Var(int(node.id[1:] or 1) - 1)
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
