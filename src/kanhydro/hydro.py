@@ -441,4 +441,9 @@ def synth_generate(formula, n: int, phi_range, noise_sigma: float,
     ys = np.asarray(fn(phi), dtype=float)
     if noise_sigma > 0:
         ys = ys + rng.normal(0.0, noise_sigma, n)
+    bad = np.flatnonzero(~np.isfinite(ys))
+    if bad.size:
+        raise InvalidArgumentError(
+            f"row {bad[0]}: the formula gives {ys[bad[0]]} at phi "
+            f"{float(phi[bad[0]])!r}; targets must be finite")
     return phi, ys

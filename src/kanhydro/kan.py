@@ -579,23 +579,27 @@ def prune(net: KanNetwork, threshold: float, xs) -> KanNetwork:
 def snap_edge(net: KanNetwork, layer: int, xs):
     """Lock each unlocked edge of a layer to its best candidate under the
     default search, on the edge's (input, output) samples from one forward
-    pass of xs; a lock changes no other edge of its layer. Returns (new
-    network, [((layer, out, in), ranked rows), ...]); a layer with nothing
-    unlocked comes back as it is, with no rows."""
+    pass of xs, ranking the edges that read one node in one call; a lock
+    changes no other edge of its layer. Returns (new network, [((layer, out,
+    in), ranked rows), ...]) in edge order; a layer with nothing unlocked
+    comes back as it is, with no rows."""
     lay = net.layers[layer]
     todo = [r for r, e in enumerate(e for row in lay.edges for e in row)
             if e.lock is None]
     if not todo:
         return net, []
     acts, edge_outs, _ = _forward(net, _as_batch(net, xs), want_cache=False)
-    net, snaps = net.clone(), []
-    for r in todo:
-        j, i = divmod(r, lay.in_dim)
-        ranked = rank_candidates(acts[layer][i], edge_outs[layer][r])
+    found = []
+    for i in {r % lay.in_dim for r in todo}:  # edge (j, i) reads node i
+        rs = [r for r in todo if r % lay.in_dim == i]
+        found += zip(rs, rank_candidates(acts[layer][i], edge_outs[layer][rs]))
+    snaps = [((layer, *divmod(r, lay.in_dim)), ranked)
+             for r, ranked in sorted(found)]
+    net = net.clone()
+    for (_, j, i), ranked in snaps:
         name, a, b, c, d, _ = ranked[0]
         net.layers[layer].edges[j][i].lock = SymbolicLock(
             candidate_by_name(name), a, b, c, d)
-        snaps.append(((layer, j, i), ranked))
     return net, snaps
 
 

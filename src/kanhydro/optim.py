@@ -219,10 +219,10 @@ class AffineSearchGrid:
 _SEARCH = AffineSearchGrid()
 
 
-def _check_samples(xs, ys):
+def _check_samples(xs, ys):  # xs (n,) and target rows ys (E, n)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape:
+    if xs.ndim != 1 or ys.ndim != 2 or ys.shape[1] != xs.size:
         raise LengthMismatchError("xs and ys must have equal length")
     if xs.size < MIN_SAMPLES:
         raise InvalidArgumentError(f"need at least {MIN_SAMPLES} samples")
@@ -233,15 +233,15 @@ def _check_samples(xs, ys):
 class CoarseGrid:
     """An (a, b) search grid laid over (sub-sampled) data.
 
-    It depends on the data and the search only, so one serves every
-    candidate fitted to the same samples.
+    Its x-only half (u, span) serves every candidate and every target row
+    fitted to the same xs; the rows' sub-samples ride along as ys.
     """
 
     a_vals: np.ndarray
     b_vals: np.ndarray
     u: np.ndarray  # a*x + b, shape (a, b, sample)
-    ys: np.ndarray  # sub-sampled targets
-    syy: float  # their centred sum of squares
+    ys: np.ndarray  # sub-sampled target rows, shape (E, sample)
+    syy: np.ndarray  # each row's centred sum of squares, shape (E,)
     span: np.ndarray  # (lo, hi) of a*x + b over every sample, shape (2, a, b)
 
     @staticmethod
@@ -256,10 +256,10 @@ class CoarseGrid:
         span = ends.T[:, :, None] + b_vals
         if grid.max_samples is not None and xs.size > grid.max_samples:
             idx = np.linspace(0, xs.size - 1, grid.max_samples).astype(int)
-            xs, ys = xs[idx], ys[idx]
+            xs, ys = xs[idx], ys[:, idx]
         u = a_vals[:, None, None] * xs[None, None, :] + b_vals[None, :, None]
-        yc = ys - ys.mean()
-        return CoarseGrid(a_vals, b_vals, u, ys, float(yc @ yc), span)
+        syy = [y @ y for y in ys - ys.mean(axis=1, keepdims=True)]
+        return CoarseGrid(a_vals, b_vals, u, ys, np.array(syy), span)
 
     def mirror_half(self) -> "CoarseGrid":
         """The a > 0 rows of this grid, as views; the grid itself when its
@@ -277,26 +277,28 @@ class CoarseGrid:
 
 
 def _solve_cd(z, ys):
-    """Closed-form (c, d) of min ||c z + d - ys||^2 along z's last axis, and
-    the SSE, from centred sums, which stay exact where z is near-constant:
-    c = S(zc, yc) / S(zc, zc), d = ybar - c zbar, SSE = S(yc, yc) - c S(zc,
-    yc). A z constant up to rounding fits c = 0, d = ybar; a non-finite z
-    or an overflowed sum gives a NaN SSE. z is centred and squared in
-    place: a second array of the coarse grid's size costs more than the
-    arithmetic."""
-    m, ybar = z.shape[-1], ys.mean()
-    yc, zbar = ys - ybar, z.mean(axis=-1, keepdims=True)
+    """Closed-form (c, d) of min ||c z + d - y||^2 along z's last axis, and
+    the SSE, for each row y of ys, (E, m), each of shape z.shape[:-1] + (E,),
+    from centred sums, which stay exact where z is near-constant: c = S(zc,
+    yc) / S(zc, zc), d = ybar - c zbar, SSE = S(yc, yc) - c S(zc, yc). A z
+    constant up to rounding fits c = 0, d = ybar; a non-finite z or an
+    overflowed sum gives a NaN SSE. z's sums serve every row; z is centred
+    and squared in place: a second array of the coarse grid's size costs
+    more than the arithmetic."""
+    m, ybar = z.shape[-1], ys.mean(axis=1)
+    yc, zbar = ys - ybar[:, None], z.mean(axis=-1, keepdims=True)
     zc = np.subtract(z, zbar, out=z)
-    szy, sz = zc @ yc, zc.sum(axis=-1)
+    szy = np.stack([zc @ y for y in yc], axis=-1)  # one gemv per row
+    sz = zc.sum(axis=-1, keepdims=True)
     # zbar's rounding shifts every zc by sz / m, which S(zc, zc) must not
     # count where z spreads by less than 1e-8 of zbar
-    szz = np.square(zc, out=zc).sum(axis=-1) - sz * sz / m
+    szz = np.square(zc, out=zc).sum(axis=-1, keepdims=True) - sz * sz / m
     # guard per z against near-constant z; a global threshold would let one
     # overflowing (a, b) point mask every reasonable candidate
-    zbar = zbar[..., 0]
     safe = szz > 1e-24 * (szz + m * zbar ** 2) + 1e-300
     c = np.where(safe, szy / np.where(safe, szz, 1.0), 0.0)
-    return c, ybar - c * zbar, np.maximum(float(yc @ yc) - c * szy, 0.0)
+    syy = np.array([y @ y for y in yc])
+    return c, ybar - c * zbar, np.maximum(syy - c * szy, 0.0)
 
 
 def _first_least(sse, syy):
@@ -310,28 +312,35 @@ def _first_least(sse, syy):
 # targets); those points come out non-finite and are skipped
 @np.errstate(all="ignore")
 def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
-    """The coarse pass of a snap fit: the grid (a, b) whose closed-form
-    (c, d) (_solve_cd) fits the coarse samples best (_first_least), with
-    (c, d) then solved on all of xs. A point is feasible where ``domain``
-    holds over the range of a*x + b on all of xs (``coarse.span``, at the
-    two extreme x) and its coarse SSE is finite, as the polish requires; a
-    non-finite f(u) makes it NaN. Returns ([a, b, c, d], the SSE of that fit
-    on all of xs)."""
+    """The coarse pass of a snap fit for each row y of ys, (E, n): the grid
+    (a, b) whose closed-form (c, d) (_solve_cd) fits y's coarse samples
+    best (_first_least), with (c, d) then solved on all of xs. A point is
+    feasible where ``domain`` holds over the range of a*x + b on all of xs
+    (``coarse.span``, at the two extreme x): f and the sums are taken there
+    only, once for every row. A row skips the points where its coarse SSE
+    is not finite, as the polish requires. Returns per row ([a, b, c, d],
+    the SSE of that fit on all of xs), or None where no point is left."""
     xs, ys = _check_samples(xs, ys)
     feas = domain(*coarse.span)
-    if not feas.any():
+    at = np.flatnonzero(feas)  # the feasible points, in grid order
+    if not at.size:
         raise NoValidCandidateError("no feasible (a, b) grid point")
-    z = f(coarse.u)
+    z = f(coarse.u if at.size == feas.size else coarse.u[feas])
     _, _, sse = _solve_cd(z.copy() if np.shares_memory(z, coarse.u) else z,
                           coarse.ys)
-    # a non-finite f(u) or an overflowed sum leaves a NaN, which cannot rank
-    feas &= np.isfinite(sse)
-    if not feas.any():
-        raise NoValidCandidateError("no feasible grid point gives a finite fit")
-    ia, ib = _first_least(np.where(feas, sse, np.inf), coarse.syy)
-    a0, b0 = float(coarse.a_vals[ia]), float(coarse.b_vals[ib])
-    c0, d0, sse0 = _solve_cd(f(a0 * xs + b0), ys)
-    return np.array([a0, b0, c0, d0]), float(sse0)
+    starts = []
+    for y, row, syy in zip(ys, sse.reshape(-1, len(ys)).T, coarse.syy):
+        # NaN, from a non-finite f(u) or an overflowed sum, cannot rank
+        row = np.where(np.isfinite(row), row, np.inf)
+        (k,) = _first_least(row, syy)
+        if row[k] == np.inf:
+            starts.append(None)
+            continue
+        ia, ib = np.unravel_index(at[k], feas.shape)
+        a0, b0 = float(coarse.a_vals[ia]), float(coarse.b_vals[ib])
+        (c0,), (d0,), (sse0,) = _solve_cd(f(a0 * xs + b0), y[None])
+        starts.append((np.array([a0, b0, c0, d0]), float(sse0)))
+    return starts
 
 
 def fit_r2(sse: float, ys) -> float:
@@ -350,7 +359,7 @@ def fit_affine_wrap(f, xs, ys, ab_grid: AffineSearchGrid | None = None, *,
     of an affine_start call on the same samples; deriv is f's derivative.
     Returns (a, b, c, d, r2 of the polished fit).
     """
-    xs, ys = _check_samples(xs, ys)
+    xs, (ys,) = _check_samples(xs, [ys])
     grid = ab_grid or _SEARCH
     p0 = np.asarray(start, dtype=float)
 

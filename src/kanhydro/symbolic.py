@@ -193,30 +193,40 @@ POLISH_TOP_K = 4
 
 def rank_candidates(xs, ys,
                     search: AffineSearchGrid | None = None) -> list:
-    """Fit every feasible candidate; return the (name, a, b, c, d, R^2) rows
-    best first, by descending R^2 and then ascending complexity.
-
-    Every candidate gets the coarse (a, b) pass; the POLISH_TOP_K best of
-    those starts get the BFGS polish as well.
+    """Fit every feasible candidate to each row of ys, (E, n), over one xs;
+    return per row its (name, a, b, c, d, R^2) rows best first, by
+    descending R^2 and then ascending complexity. The rows share each
+    candidate's coarse (a, b) pass; the POLISH_TOP_K best of a row's starts
+    get the BFGS polish as well.
     """
     xs, ys = _check_samples(xs, ys)
-    if float(np.var(ys)) < ZERO_VARIANCE_TOL:
-        # constant target: the zero candidate with offset d wins by convention
-        return [(_ZERO.name, 1.0, 0.0, 0.0, float(ys.mean()), 1.0)]
-
-    coarse = CoarseGrid.over(xs, ys, search)  # the same for every candidate
-    # an even or odd f fits (-a, -b) as it fits (a, b): search a > 0 only
-    half = coarse.mirror_half()
-    starts = []
-    for cand in _LIBRARY:
-        try:
-            p0, sse0 = affine_start(cand.fn, xs, ys,
+    flat = np.var(ys, axis=1) < ZERO_VARIANCE_TOL
+    live = ys[~flat]
+    starts = [[] for _ in live]
+    if starts:
+        coarse = CoarseGrid.over(xs, live, search)
+        # an even or odd f fits (-a, -b) as it fits (a, b): search a > 0 only
+        half = coarse.mirror_half()
+        for cand in _LIBRARY:
+            try:
+                hits = affine_start(cand.fn, xs, live,
                                     half if cand.parity else coarse,
                                     domain=cand.domain)
-        except NoValidCandidateError:
-            continue
-        starts.append((sse0 if np.isfinite(sse0) else np.inf,
-                       cand.complexity, cand.name, cand, p0))
+            except NoValidCandidateError:
+                continue
+            for row, hit in zip(starts, hits):
+                if hit is not None:
+                    row.append((hit[1] if np.isfinite(hit[1]) else np.inf,
+                                cand.complexity, cand.name, cand, hit[0]))
+    live_starts = iter(starts)
+    # a constant row: the zero candidate with offset d wins by convention
+    return [[(_ZERO.name, 1.0, 0.0, 0.0, float(y.mean()), 1.0)] if f
+            else _polish(xs, y, next(live_starts), search)
+            for y, f in zip(ys, flat)]
+
+
+def _polish(xs, ys, starts, search):
+    """One row's fits, best first, from its coarse starts."""
     starts.sort(key=lambda st: st[:3])
     rows = []
     for rank, (sse0, _, _, cand, p0) in enumerate(starts):
@@ -304,10 +314,12 @@ def fold(node) -> Node:
             a, b = -a, -b
         if a == 0.0:  # f(0*child + b) is f(1*b + 0), whatever the child
             a, b, child = 1.0, 0.0, Const(b)
-        if isinstance(child, Const):
+        if isinstance(child, Const):  # a value that overflows stays a term
             u = a * child.value + b
-            if cand.domain(u, u):
-                return Const(float(c * cand.fn(u) + d))
+            with np.errstate(all="ignore"):
+                value = c * cand.fn(u) + d if cand.domain(u, u) else np.nan
+            if np.isfinite(value):
+                return Const(float(value))
         if cand is _IDENTITY:
             coef = c * a
             off = c * b + d

@@ -405,6 +405,16 @@ class TestSynthAndMetrics:
         assert not out.exists()
 
 
+    def test_formula_not_finite_on_the_range(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert cli.main(["synth", "--formula", "exp(1000*x)", "--n", "3",
+                         "--out", str(out)]) == 1
+        assert re.search(r"^error: row 0: the formula gives inf at phi "
+                         r"[0-9.]+; targets must be finite$",
+                         capsys.readouterr().err, re.M)
+        assert not out.exists()
+
+
 class TestOneCsvReader:
     """The catchment loader and `metrics` read CSV text by the same rules,
     so they return the same numbers and name the same first fault."""

@@ -381,6 +381,18 @@ class TestSynthGenerate:
         with pytest.raises(InvalidArgumentError, match="noise_sigma"):
             synth_generate(self.FORMULA, 3, (0.2, 5.0), sigma, seed=0)
 
+    def test_non_finite_targets(self):
+        # exp(1000 x) overflows at every phi; a callable may fail at one row
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^row 0: the formula gives inf at phi "):
+            synth_generate("exp(1000*x)", 3, (0.2, 5.0), 0.0, seed=0)
+        phi, _ = synth_generate(self.FORMULA, 5, (0.2, 5.0), 0.0, seed=0)
+        law = lambda p: np.where(p == phi[3], np.nan, p)
+        want = (f"^row 3: the formula gives nan at phi {float(phi[3])!r}; "
+                "targets must be finite$")
+        with pytest.raises(InvalidArgumentError, match=want):
+            synth_generate(law, 5, (0.2, 5.0), 0.01, seed=0)
+
     @pytest.mark.parametrize("phi_range", [(0.2, np.inf), (-np.inf, 5.0),
                                            (-1e308, 1e308)])
     def test_non_finite_phi_range(self, phi_range):

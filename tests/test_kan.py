@@ -138,9 +138,9 @@ class TestForward:
         inv, ys = candidate_by_name("1/x"), 1.0 / (xs - 0.55)
         grid = AffineSearchGrid(a_magnitudes=np.array([1.0]),
                                 b_values=np.array([-0.55, 0.55]))
-        (a, b, _, _), _ = affine_start(inv.fn, xs, ys,
-                                       CoarseGrid.over(xs, ys, grid),
-                                       domain=inv.domain)
+        [((a, b, _, _), _)] = affine_start(inv.fn, xs, [ys],
+                                           CoarseGrid.over(xs, [ys], grid),
+                                           domain=inv.domain)
         assert np.sign(a * xs + b).min() == np.sign(a * xs + b).max()
 
     def test_dim_mismatch(self):
@@ -469,8 +469,8 @@ class TestSnap:
         for l, j, i, e in list(ref.iter_edges()):
             if e.lock is None:
                 acts, outs, _ = kan._forward(ref, xs, want_cache=False)
-                ranked = symbolic.rank_candidates(
-                    acts[l][i], outs[l][j * shape[l] + i])
+                [ranked] = symbolic.rank_candidates(
+                    acts[l][i], [outs[l][j * shape[l] + i]])
                 lock_edge(ref, l, j, i, *ranked[0][:5])
                 want.append(((l, j, i), ranked))
         got = []

@@ -200,7 +200,7 @@ class TestRankCandidates:
         xs = rng.uniform(0.2, 5.0, 300)
         ys = 0.39 - 0.34 * np.tanh(1.42 * xs - 0.82)
         ys = ys + rng.normal(0.0, 0.01, 300)
-        result = rank_candidates(xs, ys)
+        result = rank_candidates(xs, [ys])[0]
         # at noise sigma = 0.01 the R^2 ceiling is the noise floor (~0.994),
         # so the assertion pins the achievable level, not a perfect fit
         assert result[0][0] == "tanh"
@@ -209,21 +209,21 @@ class TestRankCandidates:
     def test_exact_linear_data(self):
         xs = np.linspace(-1.0, 4.0, 100)
         ys = 2.5 * xs - 1.0
-        result = rank_candidates(xs, ys)
+        result = rank_candidates(xs, [ys])[0]
         assert result[0][0] == "x"
         assert result[0][5] >= 1.0 - 1e-12
 
     def test_decaying_exponential(self):
         xs = np.linspace(0.1, 3.0, 150)
         ys = np.exp(-xs)
-        result = rank_candidates(xs, ys)
+        result = rank_candidates(xs, [ys])[0]
         assert result[0][0] == "exp"
         ranks = {row[0]: i for i, row in enumerate(result)}
         assert ranks["exp"] < ranks["tanh"]
 
     def test_zero_variance_selects_zero(self):
         xs = np.linspace(0, 1, 50)
-        result = rank_candidates(xs, np.full(50, 0.7))
+        result = rank_candidates(xs, [np.full(50, 0.7)])[0]
         assert result[0][0] == "0"
         assert result[0][4] == pytest.approx(0.7)
         assert result[0][5] == 1.0
@@ -232,7 +232,7 @@ class TestRankCandidates:
         rng = np.random.default_rng(4)
         xs = rng.uniform(0.5, 3.0, 120)
         ys = np.sqrt(xs) + rng.normal(0, 0.02, 120)
-        result = rank_candidates(xs, ys)
+        result = rank_candidates(xs, [ys])[0]
         r2s = [round(row[5], 10) for row in result]
         assert r2s == sorted(r2s, reverse=True)
 
@@ -240,7 +240,7 @@ class TestRankCandidates:
         rng = np.random.default_rng(9)
         xs = rng.uniform(-1.5, 2.0, 100)
         ys = np.tanh(xs) + rng.normal(0, 0.05, 100)
-        result = rank_candidates(xs, ys)
+        result = rank_candidates(xs, [ys])[0]
         best_r2 = result[0][5]
         assert all(best_r2 >= round(row[5], 10) - 1e-10
                    for row in result)
@@ -251,23 +251,45 @@ class TestRankCandidates:
         rng = np.random.default_rng(6)
         xs = rng.uniform(0.2, 5.0, 200)
         ys = 0.39 - 0.34 * np.tanh(1.42 * xs - 0.82) + rng.normal(0, 0.01, 200)
-        coarse = CoarseGrid.over(xs, ys)
+        coarse = CoarseGrid.over(xs, [ys])
         full = {}
         for cand in candidate_library():
             try:
-                start, _ = affine_start(cand.fn, xs, ys, coarse,
-                                        domain=cand.domain)
+                [(start, _)] = affine_start(cand.fn, xs, [ys], coarse,
+                                            domain=cand.domain)
             except NoValidCandidateError:
                 continue
             full[cand.name] = (cand.name, *fit_affine_wrap(
                 cand.fn, xs, ys, domain=cand.domain, deriv=cand.deriv,
                 start=start))
-        top = rank_candidates(xs, ys)
+        top = rank_candidates(xs, [ys])[0]
         assert top[0] == full["tanh"]
         assert {row[0] for row in top} == set(full)
         same = [row for row in top if row == full[row[0]]]
         assert len(same) >= POLISH_TOP_K
         assert all(row[5] <= full[row[0]][5] + 1e-12 for row in top)
+
+    def test_rows_rank_as_alone(self):
+        # the rows of one input node share the coarse pass; each comes out
+        # bit for bit as if ranked alone, a constant row by its convention.
+        # On x in [0.2, 5] most of the grid leaves the domains of arcsin,
+        # arctanh and tan (and 1/sqrt), and the third row is fitted best by
+        # those, from their few feasible points
+        xs = np.linspace(0.2, 5.0, 121)
+        noise = 0.01 * np.random.default_rng(0).standard_normal(121)
+        rows = np.array([0.39 - 0.34 * np.tanh(1.42 * xs - 0.82) + noise,
+                         np.full(121, 0.7),
+                         0.5 * np.arcsin(0.3 * xs - 0.7) - 0.2])
+        coarse = CoarseGrid.over(xs, rows)
+        for name in ("arcsin", "arctanh", "tan", "1/sqrt"):
+            cand = candidate_by_name(name)
+            grid = coarse.mirror_half() if cand.parity else coarse
+            assert cand.domain(*grid.span).mean() < 0.5, name
+        ranked = rank_candidates(xs, rows)
+        assert ranked == [rank_candidates(xs, [y])[0] for y in rows]
+        assert ranked[1] == [("0", 1.0, 0.0, 0.0, 0.7, 1.0)]
+        assert [row[0] for row in ranked[2][:3]] == ["arctanh", "arcsin",
+                                                     "tan"]
 
     def test_affine_closure(self):
         # exact affine-wrapped samples of each candidate are recovered with
@@ -302,7 +324,7 @@ class TestRankCandidates:
             cand = candidate_by_name(name)
             xs = np.linspace(lo, hi, 120)
             ys = 1.7 * cand.fn(a * xs + b) - 0.6
-            result = rank_candidates(xs, ys, FINE_SEARCH)
+            result = rank_candidates(xs, [ys], FINE_SEARCH)[0]
             winner, r2 = result[0][0], result[0][5]
             assert winner == name, f"{name}: got {winner} (r2={r2})"
             assert r2 >= 1.0 - 1e-9, f"{name}: r2={r2}"
@@ -460,6 +482,18 @@ class TestEval:
 
 
 class TestParsing:
+    def test_overflowing_constant_stays_a_term(self):
+        # exp(1000) overflows, so it is not folded to a constant; the suite
+        # turns a RuntimeWarning into an error
+        tree = parse_expression("exp(1000)")
+        assert tree == Unary("exp", 1.0, 0.0, 1.0, 0.0, Const(1000.0))
+        assert print_expression(tree) == "exp(1000)"
+        assert parse_expression(print_expression(tree)) == tree
+        assert eval_expression(parse_expression("1/sqrt(exp(1000))"),
+                               [0.0]) == 0.0
+        assert fold(Unary("exp", 1.0, 0.0, 1.0, 0.0, Const(3.0))) == Const(
+            float(np.exp(3.0)))
+
     def test_simple_formula(self):
         tree = parse_expression("0.39 - 0.34*tanh(1.42*x - 0.82)")
         assert eval_expression(tree, [0.57746]) == pytest.approx(0.39,
