@@ -22,6 +22,7 @@ from .errors import (
     KanHydroError,
     LengthMismatchError,
     TooSmallDatasetError,
+    UnlockedEdgesError,
 )
 
 EXIT_OK = 0
@@ -88,7 +89,13 @@ def _model_callable(spec: str):
             raise DataValidationError(
                 f"{path}: not UTF-8 text ({exc})") from exc
         net = kan.KanNetwork.from_json(text)
-        tree = kan.extract_formula(net)
+        if net.shape[0] != 1 or net.shape[-1] != 1:
+            raise DataValidationError(
+                f"{path}: shape {net.shape} is not one input to one output")
+        try:
+            tree = kan.extract_formula(net)
+        except UnlockedEdgesError as exc:  # a valid checkpoint, no formula
+            raise DataValidationError(f"{path}: {exc}") from exc
         return (lambda phi: symbolic.eval_expression(
             tree, np.atleast_1d(np.asarray(phi, float)).reshape(-1, 1))), None
     if spec in hydro.FIXED_MODELS:

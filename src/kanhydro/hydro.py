@@ -23,6 +23,7 @@ from .errors import (
     DataValidationError,
     InvalidArgumentError,
     LengthMismatchError,
+    is_count,
 )
 from .optim import OptimOptions, bfgs_minimize
 
@@ -418,8 +419,10 @@ def synth_generate(formula, n: int, phi_range, noise_sigma: float,
     expression string.
     """
     lo, hi = phi_range
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
+    for name, value, least in (("n", n, 1), ("seed", seed, 0)):
+        if not is_count(value, least):
+            raise InvalidArgumentError(
+                f"{name} must be an integer >= {least}, got {value!r}")
     if not lo < hi:
         raise InvalidArgumentError("phi range must satisfy lo < hi")
     # the sampler needs a finite width hi - lo, not just finite bounds

@@ -11,14 +11,13 @@ results, which the grid-search harness relies on for reproducible sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
     InvalidArgumentError,
     LengthMismatchError,
-    NoValidCandidateError,
     NonFiniteObjectiveError,
 )
 
@@ -231,35 +230,39 @@ def _check_samples(xs, ys):  # xs (n,) and target rows ys (E, n)
 
 @dataclass(frozen=True)
 class CoarseGrid:
-    """An (a, b) search grid laid over (sub-sampled) data.
-
-    Its x-only half (u, span) serves every candidate and every target row
-    fitted to the same xs; the rows' sub-samples ride along as ys.
+    """An (a, b) search grid laid over a snap's samples xs, (n,), and its
+    target rows ys, (E, n), which it carries; ``over`` is the snap's one
+    check of them. Its x-only half (u, span) serves every candidate and
+    every row; the rows' sub-samples ride along as sub_ys.
     """
 
+    xs: np.ndarray  # every sample, shape (n,)
+    ys: np.ndarray  # every target row, shape (E, n)
     a_vals: np.ndarray
     b_vals: np.ndarray
-    u: np.ndarray  # a*x + b, shape (a, b, sample)
-    ys: np.ndarray  # sub-sampled target rows, shape (E, sample)
-    syy: np.ndarray  # each row's centred sum of squares, shape (E,)
+    u: np.ndarray  # a*x + b over the sub-samples, shape (a, b, sample)
+    sub_ys: np.ndarray  # sub-sampled target rows, shape (E, sample)
+    syy: np.ndarray  # each sub_ys row's centred sum of squares, shape (E,)
     span: np.ndarray  # (lo, hi) of a*x + b over every sample, shape (2, a, b)
 
     @staticmethod
-    def over(xs, ys, ab_grid: AffineSearchGrid | None = None) -> "CoarseGrid":
+    def over(xs, ys, search: AffineSearchGrid | None = None) -> "CoarseGrid":
         xs, ys = _check_samples(xs, ys)
-        grid = ab_grid or _SEARCH
+        grid = search or _SEARCH
         a_vals = np.asarray(grid.a_magnitudes, dtype=float)
         a_vals = np.concatenate([a_vals, -a_vals])
         b_vals = np.asarray(grid.b_values, dtype=float)
         # a*x + b over every sample spans its values at the two extreme x
         ends = np.sort(np.multiply.outer(a_vals, [xs.min(), xs.max()]))
         span = ends.T[:, :, None] + b_vals
+        sub_xs, sub_ys = xs, ys
         if grid.max_samples is not None and xs.size > grid.max_samples:
             idx = np.linspace(0, xs.size - 1, grid.max_samples).astype(int)
-            xs, ys = xs[idx], ys[:, idx]
-        u = a_vals[:, None, None] * xs[None, None, :] + b_vals[None, :, None]
-        syy = [y @ y for y in ys - ys.mean(axis=1, keepdims=True)]
-        return CoarseGrid(a_vals, b_vals, u, ys, np.array(syy), span)
+            sub_xs, sub_ys = xs[idx], ys[:, idx]
+        u = a_vals[:, None, None] * sub_xs + b_vals[None, :, None]
+        syy = [y @ y for y in sub_ys - sub_ys.mean(axis=1, keepdims=True)]
+        return CoarseGrid(xs, ys, a_vals, b_vals, u, sub_ys, np.array(syy),
+                          span)
 
     def mirror_half(self) -> "CoarseGrid":
         """The a > 0 rows of this grid, as views; the grid itself when its
@@ -272,8 +275,8 @@ class CoarseGrid:
         half = self.a_vals.size // 2
         if not np.array_equal(self.b_vals, -self.b_vals[::-1]):
             return self
-        return CoarseGrid(self.a_vals[:half], self.b_vals, self.u[:half],
-                          self.ys, self.syy, self.span[:, :half])
+        return replace(self, a_vals=self.a_vals[:half], u=self.u[:half],
+                       span=self.span[:, :half])
 
 
 def _solve_cd(z, ys):
@@ -311,25 +314,26 @@ def _first_least(sse, syy):
 # f and the sums overflow at grid points far from the data (exp, cosh, large
 # targets); those points come out non-finite and are skipped
 @np.errstate(all="ignore")
-def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
-    """The coarse pass of a snap fit for each row y of ys, (E, n): the grid
+def affine_start(f, coarse: CoarseGrid, *, domain):
+    """The coarse pass of a snap fit for each row y of coarse.ys: the grid
     (a, b) whose closed-form (c, d) (_solve_cd) fits y's coarse samples
-    best (_first_least), with (c, d) then solved on all of xs. A point is
-    feasible where ``domain`` holds over the range of a*x + b on all of xs
-    (``coarse.span``, at the two extreme x): f and the sums are taken there
-    only, once for every row. A row skips the points where its coarse SSE
-    is not finite, as the polish requires. Returns per row ([a, b, c, d],
-    the SSE of that fit on all of xs), or None where no point is left."""
-    xs, ys = _check_samples(xs, ys)
+    best (_first_least), with (c, d) then solved on all of coarse.xs. A
+    point is feasible where ``domain`` holds over the range of a*x + b on
+    all of xs (``coarse.span``, at the two extreme x): f and the sums are
+    taken there only, once for every row. A row skips the points where its
+    coarse SSE is not finite, as the polish requires. Returns per row
+    ([a, b, c, d], the SSE of that fit on all of xs, inf where not finite),
+    or None where no point is left, as where no point is feasible."""
     feas = domain(*coarse.span)
     at = np.flatnonzero(feas)  # the feasible points, in grid order
     if not at.size:
-        raise NoValidCandidateError("no feasible (a, b) grid point")
+        return [None] * len(coarse.ys)
     z = f(coarse.u if at.size == feas.size else coarse.u[feas])
     _, _, sse = _solve_cd(z.copy() if np.shares_memory(z, coarse.u) else z,
-                          coarse.ys)
+                          coarse.sub_ys)
     starts = []
-    for y, row, syy in zip(ys, sse.reshape(-1, len(ys)).T, coarse.syy):
+    for y, row, syy in zip(coarse.ys, sse.reshape(-1, len(coarse.ys)).T,
+                           coarse.syy):
         # NaN, from a non-finite f(u) or an overflowed sum, cannot rank
         row = np.where(np.isfinite(row), row, np.inf)
         (k,) = _first_least(row, syy)
@@ -338,8 +342,9 @@ def affine_start(f, xs, ys, coarse: CoarseGrid, *, domain):
             continue
         ia, ib = np.unravel_index(at[k], feas.shape)
         a0, b0 = float(coarse.a_vals[ia]), float(coarse.b_vals[ib])
-        (c0,), (d0,), (sse0,) = _solve_cd(f(a0 * xs + b0), y[None])
-        starts.append((np.array([a0, b0, c0, d0]), float(sse0)))
+        (c0,), (d0,), (sse0,) = _solve_cd(f(a0 * coarse.xs + b0), y[None])
+        starts.append((np.array([a0, b0, c0, d0]),
+                       float(sse0) if math.isfinite(sse0) else math.inf))
     return starts
 
 

@@ -18,7 +18,6 @@ from .optim import (
     AffineSearchGrid,
     CoarseGrid,
     ZERO_VARIANCE_TOL,
-    _check_samples,
     affine_start,
     fit_affine_wrap,
     fit_r2,
@@ -199,30 +198,21 @@ def rank_candidates(xs, ys,
     candidate's coarse (a, b) pass; the POLISH_TOP_K best of a row's starts
     get the BFGS polish as well.
     """
-    xs, ys = _check_samples(xs, ys)
-    flat = np.var(ys, axis=1) < ZERO_VARIANCE_TOL
-    live = ys[~flat]
-    starts = [[] for _ in live]
-    if starts:
-        coarse = CoarseGrid.over(xs, live, search)
-        # an even or odd f fits (-a, -b) as it fits (a, b): search a > 0 only
-        half = coarse.mirror_half()
-        for cand in _LIBRARY:
-            try:
-                hits = affine_start(cand.fn, xs, live,
-                                    half if cand.parity else coarse,
-                                    domain=cand.domain)
-            except NoValidCandidateError:
-                continue
-            for row, hit in zip(starts, hits):
-                if hit is not None:
-                    row.append((hit[1] if np.isfinite(hit[1]) else np.inf,
-                                cand.complexity, cand.name, cand, hit[0]))
-    live_starts = iter(starts)
+    coarse = CoarseGrid.over(xs, ys, search)
+    # an even or odd f fits (-a, -b) as it fits (a, b): search a > 0 only
+    half = coarse.mirror_half()
+    starts = [[] for _ in coarse.ys]
+    for cand in _LIBRARY:
+        hits = affine_start(cand.fn, half if cand.parity else coarse,
+                            domain=cand.domain)
+        for row, hit in zip(starts, hits):
+            if hit is not None:
+                row.append((hit[1], cand.complexity, cand.name, cand, hit[0]))
+    flat = np.var(coarse.ys, axis=1) < ZERO_VARIANCE_TOL
     # a constant row: the zero candidate with offset d wins by convention
     return [[(_ZERO.name, 1.0, 0.0, 0.0, float(y.mean()), 1.0)] if f
-            else _polish(xs, y, next(live_starts), search)
-            for y, f in zip(ys, flat)]
+            else _polish(coarse.xs, y, row, search)
+            for y, f, row in zip(coarse.ys, flat, starts)]
 
 
 def _polish(xs, ys, starts, search):

@@ -285,6 +285,35 @@ class TestCorruptCheckpoint:
         assert f"{ckpt}: not UTF-8 text" in capsys.readouterr().err
 
 
+class TestCheckpointWithoutFormula:
+    """A valid checkpoint that gives no formula of one input is a
+    validation error (exit 1) naming its path, in evaluate and plotdata."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "plotdata"])
+    @pytest.mark.parametrize("shape, lock, message", [
+        ([2, 1], True, "shape [2, 1] is not one input to one output"),
+        ([1, 2], True, "shape [1, 2] is not one input to one output"),
+        ([1, 1], False, "1 edge(s) still unlocked: [(0, 0, 0)]"),
+    ])
+    def test_names_the_path(self, data_file, tmp_path, capsys, command,
+                            shape, lock, message):
+        net = kan.init_network(shape, grid_intervals=3, seed=0)
+        for *_, edge in net.iter_edges():
+            if lock:
+                edge.lock = kan.SymbolicLock(
+                    symbolic.candidate_by_name("tanh"), 1.0, 0.0, 1.0, 0.0)
+        ckpt = tmp_path / "ck.json"
+        ckpt.write_text(net.to_json())
+        spec = f"checkpoint:{ckpt}"
+        args = (["evaluate", "--data", data_file, "--model", spec,
+                 "--target", "qb_over_p"] if command == "evaluate" else
+                ["plotdata", "--models", spec, "--out",
+                 str(tmp_path / "pd.csv")])
+        assert cli.main(args) == 1
+        assert f"error: {ckpt}: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "pd.csv").exists()
+
+
 class TestSynthAndMetrics:
     def test_synth_then_metrics(self, tmp_path, capsys):
         out = tmp_path / "synth.csv"
@@ -402,6 +431,17 @@ class TestSynthAndMetrics:
         assert cli.main(["synth", "--formula", "kan_fb", "--n", "3",
                          "--out", str(out)] + extra) == 1
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, seed, message", [
+        ("3", "-1", "seed must be an integer >= 0, got -1"),
+        ("0", "0", "n must be an integer >= 1, got 0"),
+    ])
+    def test_bad_count(self, tmp_path, capsys, n, seed, message):
+        out = tmp_path / "s.csv"
+        assert cli.main(["synth", "--formula", "kan_fb", "--n", n, "--seed",
+                         seed, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -375,6 +376,17 @@ class TestSynthGenerate:
             synth_generate(self.FORMULA, 0, (0.2, 5.0), 0.0, seed=0)
         with pytest.raises(InvalidArgumentError):
             synth_generate(self.FORMULA, 10, (0.2, 5.0), -0.1, seed=0)
+
+    @pytest.mark.parametrize("n, seed, message", [
+        (2.5, 0, "n must be an integer >= 1, got 2.5"),
+        (True, 0, "n must be an integer >= 1, got True"),
+        (3, -1, "seed must be an integer >= 0, got -1"),
+        (3, 1.5, "seed must be an integer >= 0, got 1.5"),
+    ])
+    def test_bad_count(self, n, seed, message):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^{re.escape(message)}$"):
+            synth_generate(self.FORMULA, n, (0.2, 5.0), 0.0, seed=seed)
 
     @pytest.mark.parametrize("sigma", [np.inf, np.nan])
     def test_non_finite_sigma(self, sigma):

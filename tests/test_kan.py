@@ -138,7 +138,7 @@ class TestForward:
         inv, ys = candidate_by_name("1/x"), 1.0 / (xs - 0.55)
         grid = AffineSearchGrid(a_magnitudes=np.array([1.0]),
                                 b_values=np.array([-0.55, 0.55]))
-        [((a, b, _, _), _)] = affine_start(inv.fn, xs, [ys],
+        [((a, b, _, _), _)] = affine_start(inv.fn,
                                            CoarseGrid.over(xs, [ys], grid),
                                            domain=inv.domain)
         assert np.sign(a * xs + b).min() == np.sign(a * xs + b).max()

@@ -14,7 +14,6 @@ from kanhydro import optim
 from kanhydro.errors import (
     InvalidArgumentError,
     LengthMismatchError,
-    NoValidCandidateError,
     NonFiniteObjectiveError,
 )
 from kanhydro.symbolic import candidate_by_name, candidate_library
@@ -29,8 +28,7 @@ EVERYWHERE = candidate_by_name("x").domain
 
 def fit_affine(f, xs, ys, *, deriv, domain=EVERYWHERE):
     """The snap's two steps: the coarse start, then the polish."""
-    [(start, _)] = optim.affine_start(f, xs, [ys],
-                                      optim.CoarseGrid.over(xs, [ys]),
+    [(start, _)] = optim.affine_start(f, optim.CoarseGrid.over(xs, [ys]),
                                       domain=domain)
     return optim.fit_affine_wrap(f, xs, ys, deriv=deriv, domain=domain,
                                  start=start)
@@ -148,11 +146,13 @@ class TestFitAffineWrap:
         assert r2 == 1.0  # exact fit of a zero-variance target
 
     def test_infeasible_domain(self):
-        xs = np.linspace(100.0, 200.0, 50)  # a*x + b <= 0 unreachable? no:
-        # use a domain predicate that always fails instead
-        with pytest.raises(NoValidCandidateError):
-            fit_affine(np.log, xs, xs, deriv=np.reciprocal,
-                       domain=lambda lo, hi: np.zeros(np.shape(lo), bool))
+        # a domain that holds at no grid point leaves every row without a
+        # start, and no error
+        xs = np.linspace(100.0, 200.0, 50)
+        coarse = optim.CoarseGrid.over(xs, [xs, 2.0 * xs])
+        assert optim.affine_start(
+            np.log, coarse,
+            domain=lambda lo, hi: np.zeros(np.shape(lo), bool)) == [None] * 2
 
     def test_r2_deterministic(self):
         rng = np.random.default_rng(5)
@@ -181,18 +181,16 @@ class TestFitAffineWrap:
             coarse = optim.CoarseGrid.over(xs, rows)
         for cand in candidate_library():
             grid = coarse.mirror_half() if cand.parity else coarse
-            try:
-                got = optim.affine_start(cand.fn, xs, rows, grid,
-                                         domain=cand.domain)
-            except NoValidCandidateError:
-                continue
+            got = optim.affine_start(cand.fn, grid, domain=cand.domain)
             assert got[1] is None, cand.name
             for e in (0, 2):
                 alone = optim.CoarseGrid.over(xs, rows[e:e + 1])
                 [want] = optim.affine_start(
-                    cand.fn, xs, rows[e:e + 1],
-                    alone.mirror_half() if cand.parity else alone,
+                    cand.fn, alone.mirror_half() if cand.parity else alone,
                     domain=cand.domain)
+                assert (got[e] is None) == (want is None), cand.name
+                if want is None:
+                    continue
                 assert np.array_equal(got[e][0], want[0]), cand.name
                 assert got[e][1] == want[1], cand.name
 
@@ -204,7 +202,7 @@ class TestFitAffineWrap:
         coarse = optim.CoarseGrid.over(xs, [ys])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [(p0, sse0)] = optim.affine_start(np.exp, xs, [ys], coarse,
+            [(p0, sse0)] = optim.affine_start(np.exp, coarse,
                                               domain=EVERYWHERE)
         assert np.all(np.isfinite(p0)) and np.isfinite(sse0)
         with np.errstate(all="ignore"):
@@ -241,7 +239,7 @@ class TestCoarseTies:
         for name in ("x", "exp"):
             cand = candidate_by_name(name)
             starts = [optim.affine_start(
-                cand.fn, x, [y], optim.CoarseGrid.over(x, [y], every),
+                cand.fn, optim.CoarseGrid.over(x, [y], every),
                 domain=cand.domain)[0][0][:2] for x, y in
                 ((xs, ys), (xs[perm], ys[perm]))]
             assert np.array_equal(*starts), name
@@ -261,13 +259,9 @@ class TestMirrorHalf:
     ]
 
     @staticmethod
-    def _starts(cand, xs, ys, coarse):
-        try:
-            [start] = optim.affine_start(cand.fn, xs, [ys], coarse,
-                                         domain=cand.domain)
-            return start
-        except NoValidCandidateError:
-            return None
+    def _starts(cand, coarse):
+        [start] = optim.affine_start(cand.fn, coarse, domain=cand.domain)
+        return start
 
     def _pairs(self, parity, grid=None):
         for xs, law in self.targets:
@@ -279,8 +273,8 @@ class TestMirrorHalf:
             assert np.shares_memory(half.u, coarse.u)
             for cand in candidate_library():
                 if cand.parity == parity:
-                    yield (cand.name, self._starts(cand, xs, ys, half),
-                           self._starts(cand, xs, ys, coarse))
+                    yield (cand.name, self._starts(cand, half),
+                           self._starts(cand, coarse))
 
     def test_even_candidates_match_the_full_grid_exactly(self):
         # f(-u) == f(u), so the mirror point fits the same (c, d) and SSE bit
@@ -311,8 +305,8 @@ class TestMirrorHalf:
         coarse = optim.CoarseGrid.over(xs, [ys], grid)
         assert coarse.mirror_half() is coarse
         for cand in candidate_library():
-            got = self._starts(cand, xs, ys, coarse.mirror_half())
-            want = self._starts(cand, xs, ys, coarse)
+            got = self._starts(cand, coarse.mirror_half())
+            want = self._starts(cand, coarse)
             assert (got is None) == (want is None), cand.name
             if want is not None:
                 assert np.array_equal(got[0], want[0]), cand.name
@@ -323,36 +317,37 @@ class TestMirrorHalf:
         xs = np.linspace(0.0, 1.0, 20)
         coarse = optim.CoarseGrid.over(xs, [2.0 * xs + 1.0])
         before = coarse.u.copy()
-        [(p0, sse0)] = optim.affine_start(lambda u: u, xs, [2.0 * xs + 1.0],
-                                          coarse, domain=EVERYWHERE)
+        [(p0, sse0)] = optim.affine_start(lambda u: u, coarse,
+                                          domain=EVERYWHERE)
         assert np.array_equal(coarse.u, before)
         assert sse0 == pytest.approx(0.0, abs=1e-12)
 
 
 @np.errstate(all="ignore")
-def masked_affine_start(f, xs, ys, coarse, *, domain):
+def masked_affine_start(f, coarse, *, domain):
     """affine_start for one target row on the whole grid, with a finite mask
     besides the SSE test: f(u) is taken at every grid point, feasible or
     not, and a point where it is not finite is masked out, and its f(u)
     zero-filled, before ``_solve_cd`` takes the sums."""
-    xs, ys = optim._check_samples(xs, ys)
     feas = domain(*coarse.span)
     if not feas.any():
-        raise NoValidCandidateError("no feasible (a, b) grid point")
+        return [None]  # no feasible (a, b) grid point
     z = f(coarse.u)
     is_finite = np.isfinite(z)
     feas &= is_finite.all(axis=2)
     if not feas.any():
-        raise NoValidCandidateError("f not finite at any feasible grid point")
-    _, _, sse = optim._solve_cd(np.where(is_finite, z, 0.0), coarse.ys)
+        return [None]  # f not finite at any feasible grid point
+    _, _, sse = optim._solve_cd(np.where(is_finite, z, 0.0), coarse.sub_ys)
     sse = sse[..., 0]
     feas &= np.isfinite(sse)
     if not feas.any():
-        raise NoValidCandidateError("no feasible grid point gives a finite fit")
+        return [None]  # no feasible grid point gives a finite fit
     ia, ib = optim._first_least(np.where(feas, sse, np.inf), coarse.syy[0])
     a0, b0 = float(coarse.a_vals[ia]), float(coarse.b_vals[ib])
-    (c0,), (d0,), (sse0,) = optim._solve_cd(f(a0 * xs + b0), ys)
-    return [(np.array([a0, b0, c0, d0]), float(sse0))]
+    (c0,), (d0,), (sse0,) = optim._solve_cd(f(a0 * coarse.xs + b0),
+                                            coarse.ys)
+    return [(np.array([a0, b0, c0, d0]),
+             float(sse0) if np.isfinite(sse0) else np.inf)]
 
 
 class TestOneFeasibilityRule:
@@ -360,11 +355,8 @@ class TestOneFeasibilityRule:
     drops every point that a finite mask on f(u) would."""
 
     @staticmethod
-    def _start(fit, cand, xs, ys, coarse):
-        try:
-            [hit] = fit(cand.fn, xs, [ys], coarse, domain=cand.domain)
-        except NoValidCandidateError:
-            return None
+    def _start(fit, cand, coarse):
+        [hit] = fit(cand.fn, coarse, domain=cand.domain)
         return None if hit is None else np.append(*hit)
 
     # x from lo to hi crosses 0, so sqrt, log and the 1/x rows go NaN or inf
@@ -387,8 +379,8 @@ class TestOneFeasibilityRule:
         half = coarse.mirror_half()
         for cand in candidate_library():
             grid = half if cand.parity else coarse
-            got = self._start(optim.affine_start, cand, xs, ys, grid)
-            want = self._start(masked_affine_start, cand, xs, ys, grid)
+            got = self._start(optim.affine_start, cand, grid)
+            want = self._start(masked_affine_start, cand, grid)
             assert (got is None) == (want is None), cand.name
             if want is not None:
                 assert np.array_equal(got, want, equal_nan=True), cand.name
@@ -496,11 +488,10 @@ class TestOneClosedForm:
                 xs, [ys], optim.AffineSearchGrid(max_samples=None))
             assert coarse.u.shape[2] == xs.size
             grid = coarse.mirror_half() if cand.parity else coarse
-            try:
-                [((a, b, _, _), sse)] = optim.affine_start(
-                    cand.fn, xs, [ys], grid, domain=cand.domain)
-            except NoValidCandidateError:
+            [start] = optim.affine_start(cand.fn, grid, domain=cand.domain)
+            if start is None:
                 continue
+            (a, b, _, _), sse = start
             ia = int(np.flatnonzero(grid.a_vals == a)[0])
             ib = int(np.flatnonzero(grid.b_vals == b)[0])
             with np.errstate(all="ignore"):

@@ -11,7 +11,6 @@ from kanhydro.errors import (
     DomainViolationError,
     ExpressionParseError,
     InvalidArgumentError,
-    NoValidCandidateError,
 )
 from kanhydro.kan import SymbolicLock, extract_formula, init_network
 from kanhydro.optim import (
@@ -228,6 +227,12 @@ class TestRankCandidates:
         assert result[0][4] == pytest.approx(0.7)
         assert result[0][5] == 1.0
 
+    def test_all_constant_rows_take_the_convention(self):
+        xs = np.linspace(0, 1, 50)
+        rows = [np.full(50, 0.7), np.full(50, -2.0), np.zeros(50)]
+        assert rank_candidates(xs, rows) == [
+            [("0", 1.0, 0.0, 0.0, float(y.mean()), 1.0)] for y in rows]
+
     def test_sorted_descending(self):
         rng = np.random.default_rng(4)
         xs = rng.uniform(0.5, 3.0, 120)
@@ -254,14 +259,12 @@ class TestRankCandidates:
         coarse = CoarseGrid.over(xs, [ys])
         full = {}
         for cand in candidate_library():
-            try:
-                [(start, _)] = affine_start(cand.fn, xs, [ys], coarse,
-                                            domain=cand.domain)
-            except NoValidCandidateError:
+            [hit] = affine_start(cand.fn, coarse, domain=cand.domain)
+            if hit is None:
                 continue
             full[cand.name] = (cand.name, *fit_affine_wrap(
                 cand.fn, xs, ys, domain=cand.domain, deriv=cand.deriv,
-                start=start))
+                start=hit[0]))
         top = rank_candidates(xs, [ys])[0]
         assert top[0] == full["tanh"]
         assert {row[0] for row in top} == set(full)
@@ -270,8 +273,9 @@ class TestRankCandidates:
         assert all(row[5] <= full[row[0]][5] + 1e-12 for row in top)
 
     def test_rows_rank_as_alone(self):
-        # the rows of one input node share the coarse pass; each comes out
-        # bit for bit as if ranked alone, a constant row by its convention.
+        # the rows of one input node share the coarse pass, a constant row
+        # too; each comes out bit for bit as if ranked alone, a constant row
+        # by its convention.
         # On x in [0.2, 5] most of the grid leaves the domains of arcsin,
         # arctanh and tan (and 1/sqrt), and the third row is fitted best by
         # those, from their few feasible points
